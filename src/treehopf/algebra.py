@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -304,17 +305,15 @@ def check_bialgebra_compat(
         if lhs != rhs:
             report.failures.append(f"{ops.render_key(a)} | {ops.render_key(b)}")
 
+    top = max_degree if sample_degree is None else max(max_degree, sample_degree)
+    keys = [ops.keys_of_degree(d) for d in range(top + 1)]
     for total in range(max_degree + 1):
         for da in range(total + 1):
-            for a in ops.keys_of_degree(da):
-                for b in ops.keys_of_degree(total - da):
+            for a in keys[da]:
+                for b in keys[total - da]:
                     check_pair(a, b)
     if sample_degree is not None:
-        pairs = []
-        for da in range(sample_degree + 1):
-            for a in ops.keys_of_degree(da):
-                for b in ops.keys_of_degree(sample_degree - da):
-                    pairs.append((a, b))
+        pairs = [(a, b) for da in range(sample_degree + 1) for a in keys[da] for b in keys[sample_degree - da]]
         if len(pairs) > sample_count:
             pairs = random.Random(seed).sample(pairs, sample_count)
         for a, b in pairs:
@@ -386,6 +385,17 @@ def element_to_json(x: FreeElement, basis: str | None = None) -> dict:
     }
 
 
+def _coeff_from_json(raw) -> int:
+    """A coefficient is a JSON integer or a string of decimal digits with an
+    optional minus sign; floats, booleans, padding and underscores are
+    rejected rather than truncated or coerced."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str) and re.fullmatch(r"-?[0-9]+", raw):
+        return int(raw)
+    raise AlgebraTagError(f"bad coefficient {raw!r}")
+
+
 def element_from_json(data: dict) -> tuple[FreeElement, str]:
     """Decode the JSON element schema; returns (element, basis)."""
     try:
@@ -401,11 +411,7 @@ def element_from_json(data: dict) -> tuple[FreeElement, str]:
         except (KeyError, TypeError) as exc:
             raise AlgebraTagError(f"bad element term {entry!r}: {exc}") from None
         key = ops.parse_key(key_text)
-        try:
-            coeff = int(coeff_text)
-        except (TypeError, ValueError):
-            raise AlgebraTagError(f"bad coefficient {coeff_text!r}") from None
-        terms[key] = terms.get(key, 0) + coeff
+        terms[key] = terms.get(key, 0) + _coeff_from_json(coeff_text)
     return FreeElement(ops.tag, terms), basis
 
 
@@ -439,7 +445,7 @@ def tensor_from_json(data: dict) -> TensorElement:
     terms: dict = {}
     for entry in data["terms"]:
         pair = (ops.parse_key(entry["left"]), ops.parse_key(entry["right"]))
-        terms[pair] = terms.get(pair, 0) + int(entry["coeff"])
+        terms[pair] = terms.get(pair, 0) + _coeff_from_json(entry["coeff"])
     return TensorElement(ops.tag, terms)
 
 

@@ -16,23 +16,23 @@ whereas the R product keeps its combinatorial description either way.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .algebra import FreeElement
-from .endo import is_acyclic, std_restrict
+from .endo import is_acyclic
 from .structures import (
     Endofunction,
     EnumerationBoundError,
     OrderedForest,
     RootedForest,
     canonicalize,
-    enumerate_endofunctions,
-    enumerate_ordered_forests,
     plane_to_ordered,
-    restrict_forest,
 )
 
-R_BASIS_BOUND = 5  # down-set enumerations scan all structures on n vertices
+# The R expansions and products are built term by term, but an output can
+# hold every structure of its degree (the antichain's down-set does).
+R_BASIS_BOUND = 5
 
 
 def _check_r_bound(n: int, what: str):
@@ -51,11 +51,58 @@ def forest_leq(f: OrderedForest, g: OrderedForest) -> bool:
     return set(g.edges()) <= set(f.edges())
 
 
+def _acyclic_parent_vectors(choices: list[tuple[int, ...]]) -> list[OrderedForest]:
+    """Every forest whose vertex v takes its parent from ``choices[v-1]``
+    (ascending, 0 for a root), lexicographic in the parent vector.
+
+    Single choices are fixed first; the other vertices are assigned in
+    increasing order, and a choice is skipped when the parent chain from it
+    already leads back to the vertex (a cycle closes at its last edge).
+    Making a vertex a root never closes a cycle, so no branch dead-ends.
+    """
+    parent: list[int | None] = [None] + [c[0] if len(c) == 1 else None for c in choices]
+    free = [v for v in range(1, len(choices) + 1) if parent[v] is None]
+    out: list[OrderedForest] = []
+
+    def closes_cycle(v: int, w: int | None) -> bool:
+        while w:  # stops at a root (0) or at a vertex not yet assigned
+            if w == v:
+                return True
+            w = parent[w]
+        return False
+
+    def extend(i: int):
+        if i == len(free):
+            out.append(OrderedForest(tuple(parent[1:])))  # type: ignore[arg-type]
+            return
+        v = free[i]
+        for w in choices[v - 1]:
+            if not closes_cycle(v, w):
+                parent[v] = w
+                extend(i + 1)
+        parent[v] = None
+
+    extend(0)
+    return out
+
+
 def forest_down_set(forest: OrderedForest) -> list[OrderedForest]:
-    """All g <= forest, i.e. forests whose edge set extends the given one."""
+    """All g <= forest, i.e. forests whose edge set extends the given one,
+    lexicographic in the parent vector.
+
+    Every edge of the forest is kept; each root stays a root or is grafted
+    onto a vertex outside its own tree, and graftings that close a cycle
+    are skipped.
+    """
     _check_r_bound(forest.n, "forest R basis")
-    needed = set(forest.edges())
-    return [g for g in enumerate_ordered_forests(forest.n) if needed <= set(g.edges())]
+    tree_of = {v: t for t, members in enumerate(forest.tree_vertex_sets()) for v in members}
+    choices = []
+    for v, p in enumerate(forest.parent, start=1):
+        if p:
+            choices.append((p,))
+        else:
+            choices.append((0,) + tuple(w for w in range(1, forest.n + 1) if tree_of[w] != tree_of[v]))
+    return _acyclic_parent_vectors(choices)
 
 
 def r_from_s_forest(forest: OrderedForest) -> FreeElement:
@@ -74,16 +121,20 @@ def s_in_r_forest(forest: OrderedForest) -> FreeElement:
 
 def r_product_forest(left: OrderedForest, right: OrderedForest) -> FreeElement:
     """R_{F'} R_{F''} = sum of R_F over forests restricting to the factors
-    on the two label intervals (an element in the R basis)."""
+    on the two label intervals (an element in the R basis).
+
+    Such an F keeps every edge of F' on {1..k1} and of F'' (shifted) on
+    {k1+1..k1+k2}; each root of one factor stays a root or is grafted onto
+    a vertex of the other block, and graftings that close a cycle are
+    skipped.
+    """
     k1, k2 = left.n, right.n
     _check_r_bound(k1 + k2, "forest R product")
-    block1 = range(1, k1 + 1)
-    block2 = range(k1 + 1, k1 + k2 + 1)
-    terms = {}
-    for f in enumerate_ordered_forests(k1 + k2):
-        if restrict_forest(f, block1) == left and restrict_forest(f, block2) == right:
-            terms[f] = 1
-    return FreeElement("ho", terms)
+    block1 = tuple(range(1, k1 + 1))
+    block2 = tuple(range(k1 + 1, k1 + k2 + 1))
+    choices = [(p,) if p else (0,) + block2 for p in left.parent]
+    choices += [(p + k1,) if p else (0,) + block1 for p in right.parent]
+    return FreeElement("ho", {f: 1 for f in _acyclic_parent_vectors(choices)})
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +206,19 @@ def s_in_r_endo(f: Endofunction) -> FreeElement:
 
 def r_product_endo(left: Endofunction, right: Endofunction) -> FreeElement:
     """R_{f'} R_{f''} = sum of R_f over f standardizing to the factors on the
-    two blocks (an element in the R basis)."""
+    two blocks (an element in the R basis).
+
+    On each block, f agrees with its factor (shifted) at the moved points;
+    a fixed point of one factor stays fixed or is sent anywhere into the
+    other block.  That gives (1+k2)^fix(f') * (1+k1)^fix(f'') terms.
+    """
     k1, k2 = left.n, right.n
     _check_r_bound(k1 + k2, "endofunction R product")
-    block1 = range(1, k1 + 1)
-    block2 = range(k1 + 1, k1 + k2 + 1)
-    terms = {}
-    for f in enumerate_endofunctions(k1 + k2):
-        if std_restrict(f, block1) == left and std_restrict(f, block2) == right:
-            terms[f] = 1
-    return FreeElement("efsym", terms)
+    block1 = tuple(range(1, k1 + 1))
+    block2 = tuple(range(k1 + 1, k1 + k2 + 1))
+    choices = [(v,) + block2 if fv == v else (fv,) for v, fv in enumerate(left.image, start=1)]
+    choices += [block1 + (v + k1,) if fv == v else (fv + k1,) for v, fv in enumerate(right.image, start=1)]
+    return FreeElement("efsym", {Endofunction(img): 1 for img in itertools.product(*choices)})
 
 
 # ---------------------------------------------------------------------------

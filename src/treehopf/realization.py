@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import FreeElement
 from .structures import (
     Endofunction,
     OrderedForest,
+    PackedWord,
     Permutation,
     StructureError,
-    enumerate_packed_words,
+    _check_bound,
 )
 
 Letter = tuple[str, int, int]
@@ -298,13 +299,33 @@ def commutative_image(poly: NCPolynomial) -> dict[tuple[Letter, ...], int]:
 
 def pi_image(forest: OrderedForest) -> FreeElement:
     """pi(S^F) in the M basis: packed words whose value drops strictly along
-    every edge (parent strictly smaller than child)."""
-    edges = forest.edges()
-    terms = {}
-    for m in enumerate_packed_words(forest.n):
-        if all(m.letters[p - 1] < m.letters[v - 1] for (v, p) in edges):
-            terms[m] = 1
-    return FreeElement("wqsym", terms)
+    every edge (parent strictly smaller than child).
+
+    The words are built one value at a time: value k goes to a nonempty set
+    of the vertices still free whose parents already hold smaller values
+    (the roots, at first).  Each level-set sequence is one packed word.
+    """
+    _check_bound(forest.n, None, "packed word enumeration")
+    n = forest.n
+    kids = forest.children()
+    letters = [0] * n
+    words: list[tuple[int, ...]] = []
+
+    def assign(k: int, ready: list[int], left: int):
+        if not left:
+            words.append(tuple(letters))
+            return
+        for mask in range(1, 1 << len(ready)):
+            chosen = [v for i, v in enumerate(ready) if mask >> i & 1]
+            rest = [v for i, v in enumerate(ready) if not mask >> i & 1]
+            for v in chosen:
+                letters[v - 1] = k
+                rest.extend(kids[v])
+            assign(k + 1, rest, left - len(chosen))
+
+    assign(1, list(forest.roots()), n)
+    words.sort()
+    return FreeElement("wqsym", {PackedWord(w): 1 for w in words})
 
 
 def project_second_subscript(poly: NCPolynomial) -> dict[tuple[int, ...], int]:

@@ -625,13 +625,35 @@ def pack(word: Sequence[int]) -> PackedWord:
 
 
 def enumerate_packed_words(n: int, bound: int | None = None) -> list[PackedWord]:
-    """All packed words of length n (ordered Bell many), deterministic order."""
+    """All packed words of length n (ordered Bell many), lexicographic.
+
+    Depth-first over positions, trying letters in increasing order.  A
+    branch is cut as soon as the values still missing below its maximum
+    outnumber the positions left, so every branch ends in a packed word.
+    """
     _check_bound(n, bound, "packed word enumeration")
-    if n == 0:
-        return [PackedWord(())]
-    out = []
-    for letters in itertools.product(range(1, n + 1), repeat=n):
-        m = max(letters)
-        if set(letters) == set(range(1, m + 1)):
-            out.append(PackedWord(letters))
+    out: list[PackedWord] = []
+    letters = [0] * n
+    used = [0] * (n + 2)  # used[a]: occurrences of letter a so far
+
+    def extend(pos: int, top: int, missing: int):
+        if pos == n:
+            out.append(PackedWord(tuple(letters)))
+            return
+        left = n - pos - 1  # positions after this one
+        for a in range(1, n + 1):
+            if a > top:
+                new_top, new_missing = a, missing + a - top - 1
+            else:
+                new_top, new_missing = top, missing - (used[a] == 0)
+            if new_missing > left:
+                if a > top:
+                    break  # larger letters only open more gaps
+                continue
+            letters[pos] = a
+            used[a] += 1
+            extend(pos + 1, new_top, new_missing)
+            used[a] -= 1
+
+    extend(0, 0, 0)
     return out

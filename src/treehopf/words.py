@@ -1,26 +1,56 @@
 """WQSym in the monomial basis M, plus the b endomorphism.
 
-The product convolves prefix/suffix packings; the coproduct splits the value
-range of a packed word (the polynomial shadow of doubling an ordered
-alphabet).  Both are validated elsewhere against the quotient map from
-ordered forests.
+The product is the quasi-shuffle of the two value alphabets: M_u M_v sums
+M_w over the ways of merging the values {1..max u} and {1..max v} into one
+chain {1..r}, where a value of u and a value of v may also coincide.  The
+coproduct splits the value range of a packed word (the polynomial shadow
+of doubling an ordered alphabet).  Both are validated elsewhere against the
+quotient map from ordered forests.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraOps, FreeElement, TensorElement, register_algebra
-from .structures import PackedWord, enumerate_packed_words, pack
+from .structures import PackedWord, _check_bound, enumerate_packed_words, pack
 
 
 def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
     """M_u M_v = sum of M_w over packed w whose length-|u| prefix packs to u
-    and whose suffix packs to v."""
-    cut = u.n
-    terms = {}
-    for w in enumerate_packed_words(u.n + v.n):
-        if pack(w.letters[:cut]) == u and pack(w.letters[cut:]) == v:
-            terms[w] = 1
-    return FreeElement("wqsym", terms)
+    and whose suffix packs to v.
+
+    Such a w is alpha(u) . beta(v) for one pair of strictly increasing maps
+    alpha: {1..max u} -> {1..r}, beta: {1..max v} -> {1..r} whose images
+    together cover {1..r} (Hoffman's quasi-shuffle).  The pairs are built
+    value by value: the next value k of the chain is taken by the next
+    value of u, the next value of v, or both.  Every coefficient is 1.
+    """
+    _check_bound(u.n + v.n, None, "packed word enumeration")
+    p, q = u.max_letter(), v.max_letter()
+    alpha: list[int] = []
+    beta: list[int] = []
+    words: list[tuple[int, ...]] = []
+
+    def merge(k: int):
+        i, j = len(alpha), len(beta)
+        if i == p and j == q:
+            words.append(tuple(alpha[a - 1] for a in u.letters) + tuple(beta[b - 1] for b in v.letters))
+            return
+        if i < p:
+            alpha.append(k)
+            merge(k + 1)
+            if j < q:
+                beta.append(k)
+                merge(k + 1)
+                beta.pop()
+            alpha.pop()
+        if j < q:
+            beta.append(k)
+            merge(k + 1)
+            beta.pop()
+
+    merge(1)
+    words.sort()
+    return FreeElement("wqsym", {PackedWord(w): 1 for w in words})
 
 
 def wqsym_coproduct(u: PackedWord) -> TensorElement:

@@ -18,6 +18,7 @@ from treehopf.algebra import (
     element_to_latex,
     get_algebra,
     product_elements,
+    tensor_from_json,
     unit_element,
 )
 from treehopf.structures import OrderedForest, RootedForest, enumerate_ordered_forests
@@ -177,6 +178,25 @@ def test_element_json_merges_duplicate_keys():
     }
     x, _ = element_from_json(payload)
     assert x.terms == {OrderedForest((0,)): 3}
+
+
+@pytest.mark.parametrize("coeff, value", [(7, 7), (-3, -3), ("12", 12), ("-4", -4), ("0", 0)])
+def test_json_coefficients_accept_integers_and_decimal_strings(coeff, value):
+    payload = {"algebra": "ho", "basis": "S", "terms": [{"coeff": coeff, "key": "0 0"}]}
+    x, _ = element_from_json(payload)
+    assert x.terms == ({OrderedForest((0, 0)): value} if value else {})
+    pair = {"algebra": "ho", "terms": [{"coeff": coeff, "left": "0", "right": ""}]}
+    assert tensor_from_json(pair).terms == ({(OrderedForest((0,)), OrderedForest(())): value} if value else {})
+
+
+@pytest.mark.parametrize("coeff", [1.7, 2.0, True, False, " 7", "7 ", "1_000", "+3", "1.0", "", "0x1f", None, [1]])
+def test_json_coefficients_reject_everything_else(coeff):
+    payload = {"algebra": "ho", "basis": "S", "terms": [{"coeff": coeff, "key": "0"}]}
+    with pytest.raises(AlgebraTagError):
+        element_from_json(payload)
+    pair = {"algebra": "ho", "terms": [{"coeff": coeff, "left": "0", "right": ""}]}
+    with pytest.raises(AlgebraTagError):
+        tensor_from_json(pair)
 
 
 def test_latex_rendering():

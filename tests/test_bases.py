@@ -138,6 +138,10 @@ def test_mobius_roundtrip_endofunctions(n):
 def test_r_bound_is_enforced():
     with pytest.raises(EnumerationBoundError):
         r_from_s_forest(OrderedForest((0,) * 6))
+    with pytest.raises(EnumerationBoundError):
+        r_product_forest(OrderedForest((0, 0, 0)), OrderedForest((0, 1, 1)))
+    with pytest.raises(EnumerationBoundError):
+        r_product_endo(Endofunction((1, 2, 3)), Endofunction((2, 1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,8 @@ def test_endo_r_product_value_constraints():
         for f3 in (1, 2, 3)
     }
     assert set(got.terms) == expected and all(c == 1 for c in got.terms.values())
+    # (1+k2)^fix(left) * (1+k1)^fix(right) terms: two and three fixed points
+    assert len(r_product_endo(E("1 2"), E("1 2 3")).terms) == 4**2 * 3**3
 
 
 # ---------------------------------------------------------------------------

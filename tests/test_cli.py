@@ -140,6 +140,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         "algebra": "ho", "basis": "S", "terms": [{"coeff": "one", "key": "0"}],
     })
     assert run(capsys, "coproduct", "--algebra", "ho", bad_coeff)[0] == 2
+    float_coeff = write_element(tmp_path, "floatc.json", {
+        "algebra": "ho", "basis": "S", "terms": [{"coeff": 1.7, "key": "0"}],
+    })
+    code, out, err = run(capsys, "coproduct", "--algebra", "ho", float_coeff)
+    assert code == 2 and out == "" and "bad coefficient 1.7" in err
     bad_term = write_element(tmp_path, "badt.json", {
         "algebra": "ho", "basis": "S", "terms": [{"key": "0"}],
     })
