@@ -25,11 +25,19 @@ class AlgebraTagError(ValueError):
 # Elements
 # ---------------------------------------------------------------------------
 
-class FreeElement:
-    """Finite mapping from basis keys to integer coefficients.
+def accumulate(acc: dict, terms: dict, scale: int = 1) -> None:
+    """acc += scale * terms, in place; ``acc`` is a caller's private dict."""
+    for key, coeff in terms.items():
+        acc[key] = acc.get(key, 0) + scale * coeff
+
+
+class _Combination:
+    """Finite mapping from keys to integer coefficients, tagged with an
+    algebra; the arithmetic shared by elements and two-fold tensors.
 
     Immutable by convention: no method mutates ``terms`` after construction,
-    and zero coefficients are never stored.
+    and zero coefficients are never stored.  Only combinations of the same
+    type and tag add or compare equal.
     """
 
     __slots__ = ("algebra", "terms")
@@ -44,110 +52,67 @@ class FreeElement:
                 clean[key] = coeff
         self.terms = clean
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            raise AlgebraTagError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other.algebra != self.algebra:
+            raise AlgebraTagError(f"cannot combine {self.algebra} with {other.algebra!r}")
+        out = dict(self.terms)
+        accumulate(out, other.terms)
+        return type(self)(self.algebra, out)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, scalar: int):
+        if not isinstance(scalar, int):
+            raise TypeError(f"scalars must be integers, got {scalar!r}")
+        return type(self)(self.algebra, {k: scalar * c for k, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.algebra == other.algebra and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.algebra, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.algebra!r}, {self.terms!r})"
+
+
+class FreeElement(_Combination):
+    """Finite integer combination of basis keys."""
+
+    __slots__ = ()
+
     @classmethod
     def from_key(cls, algebra: str, key, coeff: int = 1) -> "FreeElement":
         return cls(algebra, {key: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same(self, other: "FreeElement"):
-        if not isinstance(other, FreeElement) or other.algebra != self.algebra:
-            raise AlgebraTagError(f"cannot combine {self.algebra} with {getattr(other, 'algebra', other)!r}")
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        self._require_same(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return FreeElement(self.algebra, out)
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + (-1) * other
-
     def __neg__(self) -> "FreeElement":
         return (-1) * self
-
-    def __rmul__(self, scalar: int) -> "FreeElement":
-        if not isinstance(scalar, int):
-            raise TypeError(f"scalars must be integers, got {scalar!r}")
-        return FreeElement(self.algebra, {k: scalar * c for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeElement)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"FreeElement({self.algebra!r}, {self.terms!r})"
 
     def map_keys(self, fn: Callable, algebra: str | None = None) -> "FreeElement":
         """Linear extension of a key map (which may itself return elements)."""
         target = algebra or self.algebra
-        out = FreeElement(target)
+        out: dict = {}
         for key, coeff in self.terms.items():
             image = fn(key)
             if isinstance(image, FreeElement):
-                out = out + coeff * image
+                if image.algebra != target:
+                    raise AlgebraTagError(f"cannot combine {target} with {image.algebra!r}")
+                accumulate(out, image.terms, coeff)
             else:
-                out = out + FreeElement.from_key(target, image, coeff)
-        return out
+                out[image] = out.get(image, 0) + coeff
+        return FreeElement(target, out)
 
 
-class TensorElement:
+class TensorElement(_Combination):
     """Finite integer combination of key pairs (two-fold tensors)."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: str, terms: dict | None = None):
-        self.algebra = algebra
-        clean = {}
-        for pair, coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
-                raise TypeError(f"non-integer coefficient {coeff!r}")
-            if coeff:
-                clean[pair] = coeff
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _require_same(self, other: "TensorElement"):
-        if not isinstance(other, TensorElement) or other.algebra != self.algebra:
-            raise AlgebraTagError(f"cannot combine {self.algebra} with {getattr(other, 'algebra', other)!r}")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._require_same(other)
-        out = dict(self.terms)
-        for pair, coeff in other.terms.items():
-            out[pair] = out.get(pair, 0) + coeff
-        return TensorElement(self.algebra, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: int) -> "TensorElement":
-        if not isinstance(scalar, int):
-            raise TypeError(f"scalars must be integers, got {scalar!r}")
-        return TensorElement(self.algebra, {k: scalar * c for k, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"TensorElement({self.algebra!r}, {self.terms!r})"
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +168,19 @@ def product_elements(x: FreeElement, y: FreeElement) -> FreeElement:
     if x.algebra != y.algebra:
         raise AlgebraTagError(f"cannot multiply {x.algebra} by {y.algebra}")
     ops = get_algebra(x.algebra)
-    out = FreeElement(x.algebra)
+    out: dict = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            out = out + (ca * cb) * ops.product(a, b)
-    return out
+            accumulate(out, ops.product(a, b).terms, ca * cb)
+    return FreeElement(x.algebra, out)
 
 
 def coproduct_element(x: FreeElement) -> TensorElement:
     ops = get_algebra(x.algebra)
-    out = TensorElement(x.algebra)
+    out: dict = {}
     for key, coeff in x.terms.items():
-        out = out + coeff * ops.coproduct(key)
-    return out
+        accumulate(out, ops.coproduct(key).terms, coeff)
+    return TensorElement(x.algebra, out)
 
 
 def tensor_product(t1: TensorElement, t2: TensorElement) -> TensorElement:
@@ -339,20 +304,22 @@ def antipode_key(tag: str, key) -> FreeElement:
         if key != ops.unit_key:
             raise AlgebraTagError(f"degree-0 key {ops.render_key(key)!r} is not the unit")
         return unit_element(ops.tag)
-    result = FreeElement.from_key(ops.tag, key, -1)
+    acc = {key: -1}
     for (a, b), coeff in ops.coproduct(key).terms.items():
         if ops.degree(a) == 0 or ops.degree(b) == 0:
             continue  # reduced coproduct only
-        result = result - coeff * product_elements(antipode_key(ops.tag, a), FreeElement.from_key(ops.tag, b))
+        for k, c in antipode_key(ops.tag, a).terms.items():
+            accumulate(acc, ops.product(k, b).terms, -coeff * c)
+    result = FreeElement(ops.tag, acc)
     _ANTIPODE_CACHE[(ops.tag, key)] = result
     return result
 
 
 def antipode(x: FreeElement) -> FreeElement:
-    out = FreeElement(x.algebra)
+    out: dict = {}
     for key, coeff in x.terms.items():
-        out = out + coeff * antipode_key(x.algebra, key)
-    return out
+        accumulate(out, antipode_key(x.algebra, key).terms, coeff)
+    return FreeElement(x.algebra, out)
 
 
 def check_antipode(tag: str, max_degree: int) -> CheckReport:
@@ -362,10 +329,11 @@ def check_antipode(tag: str, max_degree: int) -> CheckReport:
     for n in range(1, max_degree + 1):
         for key in ops.keys_of_degree(n):
             report.checked += 1
-            conv = FreeElement(ops.tag)
+            conv: dict = {}
             for (a, b), coeff in ops.coproduct(key).terms.items():
-                conv = conv + coeff * product_elements(antipode_key(ops.tag, a), FreeElement.from_key(ops.tag, b))
-            if not conv.is_zero():  # counit vanishes in positive degree
+                for k, c in antipode_key(ops.tag, a).terms.items():
+                    accumulate(conv, ops.product(k, b).terms, coeff * c)
+            if any(conv.values()):  # counit vanishes in positive degree
                 report.failures.append(ops.render_key(key))
     return report
 

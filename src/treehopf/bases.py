@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
-from .algebra import FreeElement
+from .algebra import FreeElement, accumulate
 from .endo import is_acyclic
 from .structures import (
     Endofunction,
@@ -144,20 +145,21 @@ def r_product_forest(left: OrderedForest, right: OrderedForest) -> FreeElement:
 def r_commutative(forest: RootedForest) -> FreeElement:
     """Image of R_F in the commutative algebra, independent of the labelling."""
     labelled = plane_to_ordered(forest.as_plane())
-    out = FreeElement("ck")
+    out: dict = {}
     for g, coeff in r_from_s_forest(labelled).terms.items():
-        out = out + FreeElement.from_key("ck", canonicalize(g), coeff)
-    return out
+        shape = canonicalize(g)
+        out[shape] = out.get(shape, 0) + coeff
+    return FreeElement("ck", out)
 
 
 @lru_cache(maxsize=None)
 def _ck_s_in_r(forest: RootedForest) -> FreeElement:
     # R^F = S^F + (strictly more edges); unwind the unitriangular expansion.
-    out = FreeElement.from_key("ck", forest)
+    out = {forest: 1}
     for g, coeff in r_commutative(forest).terms.items():
         if g != forest:
-            out = out - coeff * _ck_s_in_r(g)
-    return out
+            accumulate(out, _ck_s_in_r(g).terms, -coeff)
+    return FreeElement("ck", out)
 
 
 def ck_s_in_r(forest: RootedForest) -> FreeElement:
@@ -245,23 +247,34 @@ def quotient_r_product(left: Endofunction, right: Endofunction) -> FreeElement:
 # Basis change surface
 # ---------------------------------------------------------------------------
 
+class RBasis(NamedTuple):
+    """The R basis of one algebra: R_x in the S basis, S^x in the R basis,
+    and the R product of two keys (None where there is no product rule)."""
+
+    r_from_s: Callable
+    s_in_r: Callable
+    r_product: Callable | None
+
+
+R_BASES: dict[str, RBasis] = {
+    "ho": RBasis(r_from_s_forest, s_in_r_forest, r_product_forest),
+    "efsym": RBasis(r_from_s_endo, s_in_r_endo, r_product_endo),
+    "ck": RBasis(r_commutative, ck_s_in_r, None),
+}
+
+
+def _r_basis(tag: str) -> RBasis:
+    try:
+        return R_BASES[tag]
+    except KeyError:
+        raise EnumerationBoundError(f"no R basis for algebra {tag!r}") from None
+
+
 def to_s_basis(x: FreeElement) -> FreeElement:
     """Rewrite an R-basis element in the S basis (ho, efsym or ck)."""
-    if x.algebra == "ho":
-        return x.map_keys(r_from_s_forest)
-    if x.algebra == "efsym":
-        return x.map_keys(r_from_s_endo)
-    if x.algebra == "ck":
-        return x.map_keys(r_commutative)
-    raise EnumerationBoundError(f"no R basis for algebra {x.algebra!r}")
+    return x.map_keys(_r_basis(x.algebra).r_from_s)
 
 
 def to_r_basis(x: FreeElement) -> FreeElement:
     """Rewrite an S-basis element in the R basis (ho, efsym or ck)."""
-    if x.algebra == "ho":
-        return x.map_keys(s_in_r_forest)
-    if x.algebra == "efsym":
-        return x.map_keys(s_in_r_endo)
-    if x.algebra == "ck":
-        return x.map_keys(ck_s_in_r)
-    raise EnumerationBoundError(f"no R basis for algebra {x.algebra!r}")
+    return x.map_keys(_r_basis(x.algebra).s_in_r)

@@ -15,6 +15,7 @@ from . import bases, morphisms, verify
 from .algebra import (
     AlgebraTagError,
     FreeElement,
+    accumulate,
     element_from_json,
     element_to_json,
     element_to_latex,
@@ -23,25 +24,29 @@ from .algebra import (
     coproduct_element,
     tensor_to_json,
 )
-from .realization import polynomial_to_json, realize_endofunction, realize_forest
-from .structures import (
-    Endofunction,
-    EnumerationBoundError,
-    FormatError,
-    OrderedForest,
-    StructureError,
-)
+from .realization import family, polynomial_to_json
+from .structures import EnumerationBoundError, FormatError, StructureError
 
 
 class UsageError(Exception):
     pass
 
 
+CONFIG_KEYS = ("enumeration_bound", "default_indices")
+
+
 def _load_config(path: str | None) -> dict:
+    """The --config file: a JSON object whose known keys hold integers."""
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError(f"config must be a JSON object, got {type(config).__name__}")
+    for key in CONFIG_KEYS:
+        if key in config and (not isinstance(config[key], int) or isinstance(config[key], bool)):
+            raise UsageError(f"config key {key!r} must be an integer, got {config[key]!r}")
+    return config
 
 
 def _read_element(path: str) -> tuple[FreeElement, str]:
@@ -73,17 +78,14 @@ def cmd_product(args) -> int:
     if {bx, by} - {args.basis}:
         raise UsageError(f"inputs carry basis {bx}/{by}, expected {args.basis}")
     if args.basis == "R":
-        if args.algebra == "ho":
-            rule = bases.r_product_forest
-        elif args.algebra == "efsym":
-            rule = bases.r_product_endo
-        else:
+        r_basis = bases.R_BASES.get(args.algebra)
+        if r_basis is None or r_basis.r_product is None:
             raise UsageError("R-basis products are available for ho and efsym")
-        out = FreeElement(args.algebra)
+        out: dict = {}
         for a, ca in x.terms.items():
             for b, cb in y.terms.items():
-                out = out + (ca * cb) * rule(a, b)
-        _emit_element(out, "R", args.format)
+                accumulate(out, r_basis.r_product(a, b).terms, ca * cb)
+        _emit_element(FreeElement(args.algebra, out), "R", args.format)
     else:
         _emit_element(product_elements(x, y), get_algebra(args.algebra).default_basis, args.format)
     return 0
@@ -114,17 +116,11 @@ def cmd_basis_change(args) -> int:
 
 def cmd_realize(args, config: dict) -> int:
     size = args.indices if args.indices is not None else config.get("default_indices")
-    if args.version in ("v1", "v2"):
-        obj = OrderedForest.parse(args.object)
-    else:
-        obj = Endofunction.parse(args.object)
+    fam = family(args.version)
+    obj = fam.ops.parse_key(args.object)
     if size is None:
         size = 2 * (obj.n if obj.n else 1) + 2
-    if args.version in ("v1", "v2"):
-        poly = realize_forest(obj, args.version, size)
-    else:
-        poly = realize_endofunction(obj, size)
-    _emit(polynomial_to_json(poly, args.version, size))
+    _emit(polynomial_to_json(fam.realize(obj, size), args.version, size))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import FreeElement, TensorElement, product_elements, unit_element
+from .algebra import FreeElement, TensorElement, accumulate, product_elements, unit_element
 from .realization import pi_image, rank_of_rows
 from .structures import (
     Endofunction,
@@ -165,10 +165,10 @@ def _plane_sum(n: int) -> FreeElement:
 @lru_cache(maxsize=None)
 def faa_di_bruno_z(n: int) -> FreeElement:
     """Z_n, the degree-n component of Z = U^2."""
-    out = FreeElement("nck")
+    out: dict = {}
     for k in range(n + 1):
-        out = out + product_elements(_plane_sum(k), _plane_sum(n - k))
-    return out
+        accumulate(out, product_elements(_plane_sum(k), _plane_sum(n - k)).terms)
+    return FreeElement("nck", out)
 
 
 @lru_cache(maxsize=None)
@@ -176,10 +176,10 @@ def z_power_component(power: int, n: int) -> FreeElement:
     """(Z^power)_n by graded convolution; power 0 is the unit series."""
     if power == 0:
         return unit_element("nck") if n == 0 else FreeElement("nck")
-    out = FreeElement("nck")
+    out: dict = {}
     for k in range(n + 1):
-        out = out + product_elements(z_power_component(power - 1, k), faa_di_bruno_z(n - k))
-    return out
+        accumulate(out, product_elements(z_power_component(power - 1, k), faa_di_bruno_z(n - k)).terms)
+    return FreeElement("nck", out)
 
 
 def check_faa_di_bruno(n: int) -> bool:

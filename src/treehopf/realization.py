@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import FreeElement
+from .algebra import AlgebraOps, AlgebraTagError, FreeElement, accumulate, get_algebra
 from .structures import (
     Endofunction,
     OrderedForest,
@@ -40,9 +40,6 @@ from .structures import (
 
 Letter = tuple[str, int, int]
 Word = tuple[Letter, ...]
-
-FOREST_VERSIONS = ("v1", "v2")
-ALL_VERSIONS = ("v1", "v2", "func", "perm")
 
 
 def _check_truncation(size: int):
@@ -107,7 +104,7 @@ def iter_forest_words(
     forest: OrderedForest, version: str, size: int, doubled: bool = False
 ) -> Iterator[Word]:
     """All forest-compatible words with subscripts bounded by ``size``."""
-    if version not in FOREST_VERSIONS:
+    if version not in ("v1", "v2"):
         raise StructureError(f"forest realization version must be v1 or v2, got {version!r}")
     _check_truncation(size)
     n = forest.n
@@ -220,43 +217,63 @@ def iter_permutation_words(
 
 
 # ---------------------------------------------------------------------------
-# Realizations
+# Realization families
 # ---------------------------------------------------------------------------
 
-def realize_forest(forest: OrderedForest, version: str, size: int) -> NCPolynomial:
-    return NCPolynomial({w: 1 for w in iter_forest_words(forest, version, size)})
+class RealizationFamily(NamedTuple):
+    """A polynomial realization: an algebra and the letter regime whose
+    compatible words make S^x.  Keys, product, coproduct and parser are the
+    algebra's own (``ops``); ``words(key, size, doubled)`` lists S^x."""
+
+    version: str
+    algebra: str
+    words: Callable[[Any, int, bool], Iterator[Word]]
+
+    @property
+    def ops(self) -> AlgebraOps:
+        return get_algebra(self.algebra)
+
+    def realize(self, x, size: int, doubled: bool = False) -> NCPolynomial:
+        """S^x of a key, or the linear extension over an element's terms."""
+        if not isinstance(x, FreeElement):
+            x = FreeElement.from_key(self.algebra, x)
+        elif x.algebra != self.algebra:
+            raise AlgebraTagError(f"{self.version} realizes {self.algebra}, not {x.algebra}")
+        # One key's words are distinct, so dict.fromkeys builds its S^x; the
+        # first key's dict then accumulates the others.
+        parts = (dict.fromkeys(self.words(key, size, doubled), c) for key, c in x.terms.items())
+        terms = next(parts, {})
+        for part in parts:
+            accumulate(terms, part)
+        return NCPolynomial(terms)
 
 
-def realize_endofunction(f: Endofunction, size: int) -> NCPolynomial:
-    return NCPolynomial({w: 1 for w in iter_endofunction_words(f, size)})
+FAMILIES: dict[str, RealizationFamily] = {
+    fam.version: fam
+    for fam in (
+        RealizationFamily("v1", "ho", lambda f, size, doubled: iter_forest_words(f, "v1", size, doubled)),
+        RealizationFamily("v2", "ho", lambda f, size, doubled: iter_forest_words(f, "v2", size, doubled)),
+        RealizationFamily("func", "efsym", iter_endofunction_words),
+        RealizationFamily("perm", "sgsym", iter_permutation_words),
+    )
+}
 
 
-def realize_permutation(sigma: Permutation, size: int) -> NCPolynomial:
-    return NCPolynomial({w: 1 for w in iter_permutation_words(sigma, size)})
+def family(version: str) -> RealizationFamily:
+    try:
+        return FAMILIES[version]
+    except KeyError:
+        raise StructureError(f"unknown realization version {version!r}") from None
 
 
 def realizer_for(version: str) -> Callable:
-    """Key realizer matching a letter regime; forests need the version."""
-    if version in FOREST_VERSIONS:
-        return lambda key, size: realize_forest(key, version, size)
-    if version == "func":
-        return lambda key, size: realize_endofunction(key, size)
-    if version == "perm":
-        return lambda key, size: realize_permutation(key, size)
-    raise StructureError(f"unknown realization version {version!r}")
+    """Key realizer matching a letter regime."""
+    return family(version).realize
 
 
 def oplus_double(key, version: str, size: int) -> NCPolynomial:
     """Realize over the doubled alphabet A + B."""
-    if version in FOREST_VERSIONS:
-        words = iter_forest_words(key, version, size, doubled=True)
-    elif version == "func":
-        words = iter_endofunction_words(key, size, doubled=True)
-    elif version == "perm":
-        words = iter_permutation_words(key, size, doubled=True)
-    else:
-        raise StructureError(f"unknown realization version {version!r}")
-    return NCPolynomial({w: 1 for w in words})
+    return family(version).realize(key, size, doubled=True)
 
 
 def retag_side(word: Word, side: str) -> Word:

@@ -41,9 +41,9 @@ from treehopf.morphisms import (
 )
 from treehopf.realization import (
     commutative_image,
+    family,
     pi_image,
     rank_check,
-    realize_forest,
     realizer_for,
 )
 from treehopf.structures import (
@@ -55,7 +55,6 @@ from treehopf.structures import (
     enumerate_plane_forests,
 )
 from treehopf.verify import (
-    _family_keys,
     doubling_transport_ok,
     multiplicativity_ok,
     suite_examples,
@@ -116,11 +115,11 @@ def test_criterion_4_realization_theorems():
     for version in ("v1", "v2", "func", "perm"):
         for total in (2, 3):
             for d1 in range(1, total):
-                for a in _family_keys(version, d1):
-                    for b in _family_keys(version, total - d1):
+                for a in family(version).ops.keys_of_degree(d1):
+                    for b in family(version).ops.keys_of_degree(total - d1):
                         assert multiplicativity_ok(version, a, b, 8), (version, a, b)
         for degree in range(4):
-            for key in _family_keys(version, degree):
+            for key in family(version).ops.keys_of_degree(degree):
                 assert doubling_transport_ok(version, key, 8), (version, key)
 
 
@@ -129,7 +128,7 @@ def test_criterion_5_linear_independence():
     for version in ("v1", "v2", "func"):
         for degree in (1, 2, 3):
             rep = rank_check(
-                _family_keys(version, degree),
+                family(version).ops.keys_of_degree(degree),
                 realizer_for(version),
                 2 * degree + 2,
                 label=f"{version} degree {degree}",
@@ -178,7 +177,7 @@ def test_criterion_6_morphism_suite():
     for n in (1, 2, 3):
         keys = forests_by_degree[n]
         for version in ("v1", "v2"):
-            images = {f: commutative_image(realize_forest(f, version, 2 * n + 2)) for f in keys}
+            images = {f: commutative_image(family(version).realize(f, 2 * n + 2)) for f in keys}
             for f in keys:
                 for g in keys:
                     assert (images[f] == images[g]) == (canonicalize(f) == canonicalize(g))

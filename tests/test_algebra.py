@@ -90,6 +90,20 @@ def test_tensor_arithmetic():
     t = TensorElement("ho", {pair: 2})
     assert (t - t).is_zero()
     assert (3 * t).terms == {pair: 6}
+    assert repr(t) == f"TensorElement('ho', {t.terms!r})"
+
+
+def test_elements_and_tensors_stay_apart():
+    pair = (KEYS[0], KEYS[1])
+    t = TensorElement("ho", {pair: 2})
+    x = FreeElement("ho", {pair: 2})  # same tag and terms, different type
+    assert x != t and t != x
+    with pytest.raises(AlgebraTagError):
+        x + t
+    with pytest.raises(AlgebraTagError):
+        t + x
+    with pytest.raises(AlgebraTagError):
+        t - x
 
 
 # ---------------------------------------------------------------------------

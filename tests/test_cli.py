@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,20 @@ def test_verify_examples_suite_passes(capsys):
     assert "FAIL" not in out and out.strip().endswith("checks passed")
 
 
+def test_verify_examples_transcript(capsys):
+    # The replay's full stdout, saved byte for byte from a known-good run.
+    expected = (Path(__file__).parent / "data" / "verify_examples.txt").read_bytes()
+    code, out, _ = run(capsys, "verify", "--suite", "examples")
+    assert code == 0 and out.encode() == expected
+
+
+def test_unknown_golden_op_is_rejected():
+    from treehopf.verify import _replay_case
+
+    with pytest.raises(ValueError, match="unknown golden op"):
+        _replay_case({"name": "x", "op": "nope"})
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     x = write_element(tmp_path, "x.json", HO_CHAIN)
     assert run(capsys, "coproduct", "--algebra", "nope", x)[0] == 2
@@ -163,6 +178,22 @@ def test_config_default_indices(capsys, tmp_path):
     config.write_text(json.dumps({"default_indices": 2}))
     code, out, _ = run(capsys, "--config", str(config), "realize", "--version", "v2", "--object", "0")
     assert code == 0 and json.loads(out)["N"] == 2
+
+
+@pytest.mark.parametrize(
+    "payload, needle",
+    [
+        ({"default_indices": "3"}, "default_indices"),
+        ({"default_indices": True}, "default_indices"),
+        ({"enumeration_bound": 2.5}, "enumeration_bound"),
+        ([1], "JSON object"),
+    ],
+)
+def test_config_values_are_strict(capsys, tmp_path, payload, needle):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "--config", str(config), "realize", "--version", "v2", "--object", "0")
+    assert code == 2 and out == "" and needle in err
 
 
 def test_console_entry_point_runs():

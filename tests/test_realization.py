@@ -2,19 +2,19 @@ import itertools
 
 import pytest
 
+from treehopf.algebra import AlgebraTagError, FreeElement
 from treehopf.endo import shifted_concat
 from treehopf.realization import (
+    FAMILIES,
     NCPolynomial,
     commutative_image,
+    family,
     iter_endofunction_words,
     pi_image,
     polynomial_to_json,
     project_second_subscript,
     rank_check,
     rank_of_rows,
-    realize_endofunction,
-    realize_forest,
-    realize_permutation,
     realizer_for,
 )
 from treehopf.structures import (
@@ -39,7 +39,7 @@ def A(i, j):
 # ---------------------------------------------------------------------------
 
 def test_single_vertex_v2():
-    assert realize_forest(OrderedForest((0,)), "v2", 2) == NCPolynomial(
+    assert family("v2").realize(OrderedForest((0,)), 2) == NCPolynomial(
         {(A(1, 1),): 1, (A(2, 2),): 1}
     )
 
@@ -53,7 +53,7 @@ def test_six_vertex_forest_v2_matches_its_constraint_sum():
         if i3 < i2 and i4 < i1 and i4 < i6 < i5:
             word = (A(i4, i1), A(i3, i2), A(i3, i3), A(i4, i4), A(i6, i5), A(i4, i6))
             expected[word] = 1
-    assert realize_forest(forest, "v2", size).terms == expected
+    assert family("v2").realize(forest, size).terms == expected
 
 
 def test_six_vertex_forest_v1_has_free_virtual_subscripts():
@@ -67,11 +67,11 @@ def test_six_vertex_forest_v1_has_free_virtual_subscripts():
                 if x3 < i3 < i2 and x4 < i4 < i1 and i4 < i6 < i5:
                     word = (A(i4, i1), A(i3, i2), A(x3, i3), A(x4, i4), A(i6, i5), A(i4, i6))
                     expected[word] = 1
-    assert realize_forest(forest, "v1", size).terms == expected
+    assert family("v1").realize(forest, size).terms == expected
 
 
 def test_single_fixed_point_func():
-    assert realize_endofunction(Endofunction((1,)), 3) == NCPolynomial(
+    assert family("func").realize(Endofunction((1,)), 3) == NCPolynomial(
         {(A(i, j),): 1 for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
     )
 
@@ -84,7 +84,7 @@ def test_endofunction_24352_matches_its_constraint_sum():
     for i, j, k, l, m, n in itertools.product(rng, repeat=6):
         if i not in (k, j, n) and k != n and l != m:
             expected[(A(i, j), A(k, i), A(l, m), A(n, k), A(i, n))] = 1
-    assert realize_endofunction(f, size).terms == expected
+    assert family("func").realize(f, size).terms == expected
 
 
 def test_endofunction_23234_matches_its_constraint_sum():
@@ -95,7 +95,7 @@ def test_endofunction_23234_matches_its_constraint_sum():
     for i, j, k, l, m in itertools.product(rng, repeat=5):
         if j not in (i, k) and l not in (k, m):
             expected[(A(j, i), A(k, j), A(j, k), A(k, l), A(l, m))] = 1
-    assert realize_endofunction(f, size).terms == expected
+    assert family("func").realize(f, size).terms == expected
 
 
 def test_permutation_24513_matches_its_subscript_pattern():
@@ -104,20 +104,37 @@ def test_permutation_24513_matches_its_subscript_pattern():
     expected = {}
     for i1, i2, i3, i4, i5 in itertools.product(range(1, size + 1), repeat=5):
         expected[(A(i4, i1), A(i1, i2), A(i5, i3), A(i2, i4), A(i3, i5))] = 1
-    assert realize_permutation(sigma, size).terms == expected
+    assert family("perm").realize(sigma, size).terms == expected
 
 
 def test_identity_permutation_realizes_as_loops():
-    assert realize_permutation(Permutation((1,)), 2) == NCPolynomial(
+    assert family("perm").realize(Permutation((1,)), 2) == NCPolynomial(
         {(A(1, 1),): 1, (A(2, 2),): 1}
     )
 
 
 def test_truncation_must_be_positive():
     with pytest.raises(StructureError):
-        realize_forest(OrderedForest((0,)), "v2", 0)
+        family("v2").realize(OrderedForest((0,)), 0)
     with pytest.raises(StructureError):
-        realize_forest(OrderedForest((0,)), "v7", 3)
+        family("v7").realize(OrderedForest((0,)), 3)
+
+
+def test_family_registry_pairs_versions_with_algebras():
+    assert {v: fam.algebra for v, fam in FAMILIES.items()} == {
+        "v1": "ho", "v2": "ho", "func": "efsym", "perm": "sgsym",
+    }
+    with pytest.raises(StructureError, match="unknown realization version 'v7'"):
+        family("v7")
+
+
+def test_realize_is_linear_over_elements():
+    fam = family("v2")
+    a, b = OrderedForest((0,)), OrderedForest((0, 1))
+    x = FreeElement("ho", {a: 2, b: -1})
+    assert fam.realize(x, 3) == 2 * fam.realize(a, 3) + (-1) * fam.realize(b, 3)
+    with pytest.raises(AlgebraTagError):
+        fam.realize(FreeElement("efsym", {Endofunction((1,)): 1}), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -126,32 +143,26 @@ def test_truncation_must_be_positive():
 
 @pytest.mark.parametrize("version", ["v1", "v2", "func", "perm"])
 def test_multiplicativity_total_degree_3_at_n5(version):
-    from treehopf.verify import _family_keys
-
     for d1 in (1, 2):
-        for a in _family_keys(version, d1):
-            for b in _family_keys(version, 3 - d1):
+        for a in family(version).ops.keys_of_degree(d1):
+            for b in family(version).ops.keys_of_degree(3 - d1):
                 assert multiplicativity_ok(version, a, b, 5)
 
 
 @pytest.mark.parametrize("version", ["v1", "v2", "func", "perm"])
 def test_doubling_transport_degree_2_at_n5(version):
-    from treehopf.verify import _family_keys
-
     for d in (0, 1, 2):
-        for key in _family_keys(version, d):
+        for key in family(version).ops.keys_of_degree(d):
             assert doubling_transport_ok(version, key, 5)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("version", ["v1", "v2", "perm"])
 def test_multiplicativity_total_degree_4_at_n8(version):
-    from treehopf.verify import _family_keys
-
     for total in (2, 3, 4):
         for d1 in range(1, total):
-            for a in _family_keys(version, d1):
-                for b in _family_keys(version, total - d1):
+            for a in family(version).ops.keys_of_degree(d1):
+                for b in family(version).ops.keys_of_degree(total - d1):
                     assert multiplicativity_ok(version, a, b, 8), (version, a, b)
 
 
@@ -220,7 +231,7 @@ def test_commutative_image_kernel_is_shape_equality(version):
     for n in (1, 2, 3):
         size = 2 * n + 2
         forests = enumerate_ordered_forests(n)
-        images = {f: commutative_image(realize_forest(f, version, size)) for f in forests}
+        images = {f: commutative_image(family(version).realize(f, size)) for f in forests}
         for f in forests:
             for g in forests:
                 same_shape = canonicalize(f) == canonicalize(g)
@@ -263,7 +274,7 @@ def test_pi_image_reproduces_the_six_worked_values():
 def test_pi_commutes_with_the_letter_projection_at_n6():
     for n in (1, 2, 3):
         for forest in enumerate_ordered_forests(n):
-            lhs = project_second_subscript(realize_forest(forest, "v2", 6))
+            lhs = project_second_subscript(family("v2").realize(forest, 6))
             rhs = wqsym_realize(pi_image(forest), 6)
             assert lhs == rhs, forest
 
@@ -273,7 +284,7 @@ def test_pi_commutes_with_the_letter_projection_at_n6():
 # ---------------------------------------------------------------------------
 
 def test_polynomial_json_shape():
-    payload = polynomial_to_json(realize_forest(OrderedForest((0,)), "v2", 2), "v2", 2)
+    payload = polynomial_to_json(family("v2").realize(OrderedForest((0,)), 2), "v2", 2)
     assert payload == {
         "version": "V2",
         "N": 2,
