@@ -36,13 +36,16 @@ CONFIG_KEYS = ("enumeration_bound", "default_indices")
 
 
 def _load_config(path: str | None) -> dict:
-    """The --config file: a JSON object whose known keys hold integers."""
+    """The --config file: a JSON object of known keys holding integers."""
     if not path:
         return {}
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise UsageError(f"config must be a JSON object, got {type(config).__name__}")
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
     for key in CONFIG_KEYS:
         if key in config and (not isinstance(config[key], int) or isinstance(config[key], bool)):
             raise UsageError(f"config key {key!r} must be an integer, got {config[key]!r}")

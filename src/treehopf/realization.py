@@ -20,11 +20,21 @@ letter restarts like a root's (loop for v2, free first subscript otherwise).
 Truncation is controlled by N: all subscripts lie in {1..N} ({0..N} for the
 first subscripts of v1 root letters).  Product and doubling identities are
 exact at every N; linear independence needs N large enough (2n+2 suffices).
+
+Words are integers inside the engine.  At truncation N let K = N + 1; the
+letter (side, i, j) has the code ((side == "B") * K + i) * K + j, which is
+at least 1 because j >= 1.  A word is the little-endian number of its letter
+codes in base 2K^2, so the empty word is 0 and concatenation w1 w2 is
+``w1 + w2 * base ** len(w1)``.  Each letter's subscripts are values of the
+structure's vertex variables, so a word's code is a sum of value * weight
+terms and the compatible words are enumerated as sums, one variable at a
+time.  Over the doubled alphabet the enumerator yields triples (B-position
+mask, A-subword code, B-subword code), the B letters coded as if they were
+A: the words come out already split by side.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -47,57 +57,300 @@ def _check_truncation(size: int):
         raise StructureError(f"truncation must be >= 1, got {size}")
 
 
-class NCPolynomial:
-    """Sparse integer polynomial in noncommuting bi-indexed letters."""
+# ---------------------------------------------------------------------------
+# Word codes
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("terms",)
+def code_base(size: int) -> int:
+    """The base 2(N+1)^2 of the word codes at truncation N."""
+    return 2 * (size + 1) * (size + 1)
+
+
+def encode_word(word: Word, size: int) -> int:
+    k = size + 1
+    base = code_base(size)
+    code = 0
+    for letter in reversed(word):
+        side, i, j = letter
+        if side not in ("A", "B") or not 0 <= i <= size or not 1 <= j <= size:
+            raise StructureError(f"letter {letter!r} is not a letter at truncation {size}")
+        code = code * base + ((side == "B") * k + i) * k + j
+    return code
+
+
+def decode_word(code: int, size: int) -> Word:
+    k = size + 1
+    base = code_base(size)
+    word = []
+    while code:
+        code, d = divmod(code, base)
+        side, i = divmod(d // k, k)
+        word.append(("AB"[side], i, d % k))
+    return tuple(word)
+
+
+def _word_length(code: int, base: int) -> int:
+    n = 0
+    while code:
+        code //= base
+        n += 1
+    return n
+
+
+class NCPolynomial:
+    """Sparse integer polynomial in noncommuting bi-indexed letters.
+
+    ``codes`` maps word codes at truncation ``size`` to nonzero coefficients;
+    ``terms`` decodes them to letter words on every access.  Built from a
+    letter-word dict, the polynomial is coded at its largest subscript.
+    Operands of different sizes are compared and combined at the larger one.
+    """
+
+    __slots__ = ("codes", "size")
 
     def __init__(self, terms: dict[Word, int] | None = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+        terms = {w: c for w, c in (terms or {}).items() if c}
+        self.size = max((max(i, j) for w in terms for _, i, j in w), default=1)
+        self.codes = {encode_word(w, self.size): c for w, c in terms.items()}
+
+    @classmethod
+    def from_codes(cls, codes: dict[int, int], size: int) -> "NCPolynomial":
+        poly = cls.__new__(cls)
+        poly.codes = codes
+        poly.size = size
+        return poly
+
+    @property
+    def terms(self) -> dict[Word, int]:
+        return {decode_word(w, self.size): c for w, c in self.codes.items()}
+
+    def _aligned(self, other: "NCPolynomial") -> tuple[dict, dict, int]:
+        size = max(self.size, other.size)
+        return self._recoded(size), other._recoded(size), size
+
+    def _recoded(self, size: int) -> dict[int, int]:
+        if size == self.size:
+            return self.codes
+        return {encode_word(decode_word(w, self.size), size): c for w, c in self.codes.items()}
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return NCPolynomial(out)
+        left, right, size = self._aligned(other)
+        out = dict(left)
+        accumulate(out, right)
+        return NCPolynomial.from_codes({w: c for w, c in out.items() if c}, size)
 
     def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
-        out: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
+        left, right, size = self._aligned(other)
+        if not left or not right:
+            return NCPolynomial.from_codes({}, size)
+        base = code_base(size)
+        length = _word_length(min(left), base)
+        if length == _word_length(max(left), base):
+            # A longer word has a larger code, so every left word has this
+            # length: distinct pairs give distinct products.
+            shift = base**length
+            out = {
+                w1 + w2: c1 * c2
+                for w, c2 in right.items()
+                for w2 in (w * shift,)
+                for w1, c1 in left.items()
+            }
+            return NCPolynomial.from_codes(out, size)
+        out = {}
+        for w1, c1 in left.items():
+            shift = base ** _word_length(w1, base)
+            for w2, c2 in right.items():
+                w = w1 + w2 * shift
                 out[w] = out.get(w, 0) + c1 * c2
-        return NCPolynomial(out)
+        return NCPolynomial.from_codes({w: c for w, c in out.items() if c}, size)
 
     def __rmul__(self, scalar: int) -> "NCPolynomial":
-        return NCPolynomial({w: scalar * c for w, c in self.terms.items()})
+        codes = {w: scalar * c for w, c in self.codes.items()} if scalar else {}
+        return NCPolynomial.from_codes(codes, self.size)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NCPolynomial) and self.terms == other.terms
+        if not isinstance(other, NCPolynomial):
+            return False
+        left, right, _ = self._aligned(other)
+        return left == right
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.codes)
 
     def __repr__(self):
-        return f"NCPolynomial({len(self.terms)} terms)"
+        return f"NCPolynomial({len(self.codes)} terms)"
 
 
 # ---------------------------------------------------------------------------
 # Word enumeration
 # ---------------------------------------------------------------------------
+#
+# Every regime has the same shape: position v carries the letter
+# (first_v, y_v), and first_v = y_p when v is linked to a parent p on its
+# own side of the alphabet.  An unlinked position restarts like a root: a
+# loop letter (v2), or a free first subscript below y_v (v1) or different
+# from it (func).  A linked pair is constrained by y_v > y_p (forests) or
+# y_v != y_p (func); permutations link every position to its preimage and
+# constrain nothing.
 
-def _traversal_order(forest: OrderedForest) -> list[int]:
-    kids = forest.children()
+_REVERSED = {">": "<", "!=": "!="}
+
+
+def _steps(
+    parent: Sequence[int], side: Sequence[int], relation: str | None, root: str, size: int
+) -> list:
+    """The variables of one side's letters as (weight, lo, hi, relations)
+    steps; a relation (op, t) compares the value with the earlier step t.
+    Letters are coded by their rank on the side, as A letters."""
+    k = size + 1
+    base = code_base(size)
+    weight = {v: base**r for r, v in enumerate(side)}
+    linked = [v for v in side if parent[v - 1] in weight]
+    coef = dict(weight)
+    kids: dict[int, list[int]] = {v: [] for v in side}
+    for v in linked:
+        p = parent[v - 1]
+        coef[p] += k * weight[v]
+        if p != v:
+            kids[p].append(v)
+    if root == "loop":
+        for v in side:
+            if parent[v - 1] not in weight:
+                coef[v] += k * weight[v]
+    # Preorder from the side's roots, then around any cycle left, so that a
+    # vertex's parent is usually assigned just before it.
     order: list[int] = []
-    stack = sorted(forest.roots(), reverse=True)
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(sorted(kids[v], reverse=True))
-    return order
+    seen: set[int] = set()
+    for start in [v for v in side if parent[v - 1] not in weight] + list(side):
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                stack.extend(reversed(kids[v]))
+    rank = {v: r for r, v in enumerate(order)}
+    relations: dict[int, list] = {v: [] for v in side}
+    if relation is not None:
+        for v in linked:
+            p = parent[v - 1]
+            if rank[v] > rank[p]:
+                relations[v].append((relation, p))
+            else:
+                relations[p].append((_REVERSED[relation], v))
+    steps: list = []
+    step_of: dict[int, int] = {}
+    for v in order:
+        step_of[v] = len(steps)
+        steps.append((coef[v], 1, size, [(op, step_of[u]) for op, u in relations[v]]))
+        if parent[v - 1] not in weight and root != "loop":
+            # the free first subscript of a root-like letter
+            lo, op = (0, "<") if root == "below" else (1, "!=")
+            steps.append((k * weight[v], lo, size, [(op, step_of[v])]))
+    return steps
+
+
+def _assign(steps: list) -> list[int]:
+    """Codes of every assignment of the steps' variables: each value times
+    its weight, summed.  Partial sums are grouped by the values later steps
+    still compare against."""
+    last: dict[int, int] = {}
+    for t, (_, _, _, relations) in enumerate(steps):
+        for _, u in relations:
+            last[u] = t
+    live: list[int] = []  # the steps whose values a group's state holds
+    groups: dict[tuple, list[int]] = {(): [0]}
+    for t, (coef, lo, hi, relations) in enumerate(steps):
+        slot = {u: i for i, u in enumerate(live)}
+        checks = [(op, slot[u]) for op, u in relations]
+        kept = [u for u in live + [t] if last.get(u, -1) > t]
+        picks = [slot.get(u, len(live)) for u in kept]
+        nxt: dict[tuple, list[int]] = {}
+        for state, codes in groups.items():
+            a, b, banned = lo, hi, []
+            for op, i in checks:
+                value = state[i]
+                if op == ">":
+                    a = max(a, value + 1)
+                elif op == "<":
+                    b = min(b, value - 1)
+                else:
+                    banned.append(value)
+            shifts: dict[tuple, list[int]] = {}
+            for y in range(a, b + 1):
+                if y not in banned:
+                    full = state + (y,)
+                    shifts.setdefault(tuple([full[i] for i in picks]), []).append(y * coef)
+            for key, ds in shifts.items():
+                nxt.setdefault(key, []).extend([c + d for d in ds for c in codes])
+        groups = nxt
+        live = kept
+    return groups.get((), [])
+
+
+def _masks(parent: Sequence[int]) -> Iterator[int]:
+    """B-position masks where no B letter sits above an A letter."""
+    n = len(parent)
+    for mask in range(1 << n):
+        if all(
+            mask >> (v - 1) & 1 or not (p and mask >> (p - 1) & 1)
+            for v, p in enumerate(parent, start=1)
+        ):
+            yield mask
+
+
+def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, root: str):
+    """The ``words`` slot of a family: codes of S^x, or (mask, A-subword,
+    B-subword) triples over the doubled alphabet."""
+
+    def side_words(parent: Sequence[int], side: Sequence[int], size: int) -> list[int]:
+        return _assign(_steps(parent, side, relation, root, size))
+
+    def doubled_words(parent: Sequence[int], size: int) -> Iterator[tuple[int, int, int]]:
+        positions = range(1, len(parent) + 1)
+        for mask in _masks(parent):
+            a_codes = side_words(parent, [v for v in positions if not mask >> (v - 1) & 1], size)
+            b_codes = side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size)
+            for b in b_codes:
+                for a in a_codes:
+                    yield mask, a, b
+
+    def words(key, size: int, doubled: bool = False) -> Iterable:
+        _check_truncation(size)
+        parent = parent_of(key)
+        if doubled:
+            return doubled_words(parent, size)
+        return side_words(parent, range(1, len(parent) + 1), size)
+
+    return words
+
+
+def _interleave(triples: Iterable[tuple[int, int, int]], n: int, size: int) -> Iterator[int]:
+    """Full doubled-word codes of (mask, A-subword, B-subword) triples."""
+    base = code_base(size)
+    b_side = (size + 1) * (size + 1)
+    for mask, a, b in triples:
+        code, p = 0, 1
+        for v in range(n):
+            if mask >> v & 1:
+                b, d = divmod(b, base)
+                code += (d + b_side) * p
+            else:
+                a, d = divmod(a, base)
+                code += d * p
+            p *= base
+        yield code
+
+
+def _decoded(version: str, key, size: int, doubled: bool) -> Iterator[Word]:
+    codes = family(version).words(key, size, doubled)
+    if doubled:
+        codes = _interleave(codes, key.n, size)
+    for code in codes:
+        yield decode_word(code, size)
 
 
 def iter_forest_words(
@@ -106,87 +359,14 @@ def iter_forest_words(
     """All forest-compatible words with subscripts bounded by ``size``."""
     if version not in ("v1", "v2"):
         raise StructureError(f"forest realization version must be v1 or v2, got {version!r}")
-    _check_truncation(size)
-    n = forest.n
-    if n == 0:
-        yield ()
-        return
-    order = _traversal_order(forest)
-    parent = forest.parent
-    letters: list[Letter | None] = [None] * (n + 1)
-    value = [0] * (n + 1)
-    side = [""] * (n + 1)
-    sides = ("A", "B") if doubled else ("A",)
-
-    def root_like(v: int, s: str, idx: int) -> Iterator[Word]:
-        side[v] = s
-        if version == "v2":
-            for val in range(1, size + 1):
-                value[v] = val
-                letters[v] = (s, val, val)
-                yield from assign(idx + 1)
-        else:
-            for first in range(size):
-                for val in range(first + 1, size + 1):
-                    value[v] = val
-                    letters[v] = (s, first, val)
-                    yield from assign(idx + 1)
-
-    def assign(idx: int) -> Iterator[Word]:
-        if idx == n:
-            yield tuple(letters[1:])
-            return
-        v = order[idx]
-        p = parent[v - 1]
-        if p == 0:
-            for s in sides:
-                yield from root_like(v, s, idx)
-        else:
-            side[v] = side[p]
-            for val in range(value[p] + 1, size + 1):
-                value[v] = val
-                letters[v] = (side[p], value[p], val)
-                yield from assign(idx + 1)
-            if doubled and side[p] == "A":
-                yield from root_like(v, "B", idx)  # cut vertex: restarts in B
-
-    yield from assign(0)
+    yield from _decoded(version, forest, size, doubled)
 
 
 def iter_endofunction_words(
     f: Endofunction, size: int, doubled: bool = False
 ) -> Iterator[Word]:
     """All f-compatible words over the i != j alphabet, subscripts <= size."""
-    _check_truncation(size)
-    n = f.n
-    if n == 0:
-        yield ()
-        return
-    moved = [j for j in range(1, n + 1) if f(j) != j]
-    values = range(1, size + 1)
-    side_choices: Iterable[tuple[str, ...]]
-    if doubled:
-        side_choices = itertools.product("AB", repeat=n)
-    else:
-        side_choices = [("A",) * n]
-    for sides in side_choices:
-        # B letters can never sit below A letters along an edge f(j) -> j.
-        if any(sides[f(j) - 1] > sides[j - 1] for j in moved):
-            continue
-        linked = [j for j in moved if sides[f(j) - 1] == sides[j - 1]]
-        free = [j for j in range(1, n + 1) if f(j) == j or sides[f(j) - 1] != sides[j - 1]]
-        for ys in itertools.product(values, repeat=n):
-            if any(ys[f(j) - 1] == ys[j - 1] for j in linked):
-                continue
-            base: list[Letter | None] = [None] * n
-            for j in linked:
-                base[j - 1] = (sides[j - 1], ys[f(j) - 1], ys[j - 1])
-            free_ranges = [[x for x in values if x != ys[j - 1]] for j in free]
-            for xs in itertools.product(*free_ranges):
-                word = list(base)
-                for j, x in zip(free, xs):
-                    word[j - 1] = (sides[j - 1], x, ys[j - 1])
-                yield tuple(word)  # type: ignore[arg-type]
+    yield from _decoded("func", f, size, doubled)
 
 
 def iter_permutation_words(
@@ -194,26 +374,7 @@ def iter_permutation_words(
 ) -> Iterator[Word]:
     """Words a_{i_{sigma^-1(1)} i_1} ... a_{i_{sigma^-1(n)} i_n}; cycles stay
     on one side of a doubled alphabet."""
-    _check_truncation(size)
-    n = sigma.n
-    if n == 0:
-        yield ()
-        return
-    inv = sigma.inverse()
-    cycles = sigma.cycles()
-    if doubled:
-        cycle_sides = itertools.product("AB", repeat=len(cycles))
-    else:
-        cycle_sides = [("A",) * len(cycles)]
-    for assignment in cycle_sides:
-        sides = [""] * (n + 1)
-        for cyc, s in zip(cycles, assignment):
-            for v in cyc:
-                sides[v] = s
-        for vals in itertools.product(range(1, size + 1), repeat=n):
-            yield tuple(
-                (sides[k], vals[inv(k) - 1], vals[k - 1]) for k in range(1, n + 1)
-            )
+    yield from _decoded("perm", sigma, size, doubled)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +384,12 @@ def iter_permutation_words(
 class RealizationFamily(NamedTuple):
     """A polynomial realization: an algebra and the letter regime whose
     compatible words make S^x.  Keys, product, coproduct and parser are the
-    algebra's own (``ops``); ``words(key, size, doubled)`` lists S^x."""
+    algebra's own (``ops``); ``words(key, size, doubled)`` lists the codes
+    of S^x, or its (B mask, A-subword, B-subword) triples when doubled."""
 
     version: str
     algebra: str
-    words: Callable[[Any, int, bool], Iterator[Word]]
+    words: Callable[[Any, int, bool], Iterable]
 
     @property
     def ops(self) -> AlgebraOps:
@@ -239,22 +401,33 @@ class RealizationFamily(NamedTuple):
             x = FreeElement.from_key(self.algebra, x)
         elif x.algebra != self.algebra:
             raise AlgebraTagError(f"{self.version} realizes {self.algebra}, not {x.algebra}")
+
+        def codes(key):
+            found = self.words(key, size, doubled)
+            return _interleave(found, key.n, size) if doubled else found
+
         # One key's words are distinct, so dict.fromkeys builds its S^x; the
         # first key's dict then accumulates the others.
-        parts = (dict.fromkeys(self.words(key, size, doubled), c) for key, c in x.terms.items())
+        parts = (dict.fromkeys(codes(key), c) for key, c in x.terms.items())
         terms = next(parts, {})
-        for part in parts:
-            accumulate(terms, part)
-        return NCPolynomial(terms)
+        if len(x.terms) > 1:
+            for part in parts:
+                accumulate(terms, part)
+            terms = {w: c for w, c in terms.items() if c}
+        return NCPolynomial.from_codes(terms, size)
+
+
+def _no_fixed_points(f: Endofunction) -> list[int]:
+    return [0 if fv == v else fv for v, fv in enumerate(f.image, start=1)]
 
 
 FAMILIES: dict[str, RealizationFamily] = {
     fam.version: fam
     for fam in (
-        RealizationFamily("v1", "ho", lambda f, size, doubled: iter_forest_words(f, "v1", size, doubled)),
-        RealizationFamily("v2", "ho", lambda f, size, doubled: iter_forest_words(f, "v2", size, doubled)),
-        RealizationFamily("func", "efsym", iter_endofunction_words),
-        RealizationFamily("perm", "sgsym", iter_permutation_words),
+        RealizationFamily("v1", "ho", _regime(lambda f: f.parent, ">", "below")),
+        RealizationFamily("v2", "ho", _regime(lambda f: f.parent, ">", "loop")),
+        RealizationFamily("func", "efsym", _regime(_no_fixed_points, "!=", "different")),
+        RealizationFamily("perm", "sgsym", _regime(lambda s: s.inverse().image, None, "loop")),
     )
 }
 
@@ -276,25 +449,27 @@ def oplus_double(key, version: str, size: int) -> NCPolynomial:
     return family(version).realize(key, size, doubled=True)
 
 
-def retag_side(word: Word, side: str) -> Word:
-    return tuple((side, i, j) for (_, i, j) in word)
-
-
-def split_by_side(word: Word) -> tuple[Word, Word]:
-    """A-subword and B-subword, positions kept in order."""
-    left = tuple(l for l in word if l[0] == "A")
-    right = tuple(l for l in word if l[0] == "B")
-    return left, right
-
-
 def group_doubled(poly: NCPolynomial) -> dict[tuple[Word, Word], int]:
     """Collect a doubled polynomial by (A-subword, B-subword); this is the
     P(A)Q(B) ~ P (x) Q identification."""
-    out: dict[tuple[Word, Word], int] = {}
-    for word, coeff in poly.terms.items():
-        pair = split_by_side(word)
-        out[pair] = out.get(pair, 0) + coeff
-    return {p: c for p, c in out.items() if c}
+    base = code_base(poly.size)
+    b_side = (poly.size + 1) * (poly.size + 1)  # letter codes from here on are B letters
+    out: dict[tuple[int, int], int] = {}
+    for code, coeff in poly.codes.items():
+        a = b = 0
+        a_place = b_place = 1
+        while code:
+            code, d = divmod(code, base)
+            if d < b_side:
+                a += d * a_place
+                a_place *= base
+            else:
+                b += d * b_place
+                b_place *= base
+        out[a, b] = out.get((a, b), 0) + coeff
+    return {
+        (decode_word(a, poly.size), decode_word(b, poly.size)): c for (a, b), c in out.items() if c
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +540,18 @@ def rank_of_rows(rows: Sequence[dict]) -> int:
     elimination step is a no-op, which covers the realization families where
     each basis element owns a reconstructing word.
     """
-    live = [dict(r) for r in rows if r]
+    live = [r for r in rows if r]  # rows are read, never changed in place
     rank = 0
     while live:
-        counts: dict = {}
-        owner: dict = {}
-        for i, row in enumerate(live):
-            for col in row:
-                counts[col] = counts.get(col, 0) + 1
-                owner[col] = i
-        singles = {owner[col] for col, c in counts.items() if c == 1}
-        if singles:
-            rank += len(singles)
-            live = [r for i, r in enumerate(live) if i not in singles]
+        seen: set = set()
+        shared: set = set()
+        for row in live:
+            shared.update(seen.intersection(row))
+            seen.update(row)
+        rest = [r for r in live if shared.issuperset(r)]
+        if len(rest) < len(live):
+            rank += len(live) - len(rest)
+            live = rest
             continue
         pivot = live.pop()
         col0 = next(iter(pivot))
@@ -414,10 +588,11 @@ class RankReport:
         return f"{self.label}: rank {self.rank} of {self.keys} ({verdict})"
 
 
-def rank_check(keys: Sequence, realize: Callable, size: int, label: str = "") -> RankReport:
-    """Exact rank of {realize(key, size)} as vectors over words."""
-    rows = [realize(key, size).terms for key in keys]
-    return RankReport(label or f"N={size}", len(list(keys)), rank_of_rows(rows))
+def rank_check(keys: Iterable, realize: Callable, size: int, label: str = "") -> RankReport:
+    """Exact rank of {realize(key, size)} as vectors over word codes."""
+    keys = list(keys)
+    rows = [realize(key, size).codes for key in keys]
+    return RankReport(label or f"N={size}", len(keys), rank_of_rows(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .endo import ideals
 from .forests import nwarrow
-from .realization import FAMILIES, family, pi_image, rank_check, retag_side, split_by_side
+from .realization import FAMILIES, family, pi_image, rank_check
 from .structures import Endofunction, OrderedForest, PlaneForest, RootedForest, plane_to_ordered
 
 Outcome = tuple[str, bool, str]
@@ -70,16 +70,16 @@ def doubling_transport_ok(version: str, key, size: int) -> bool:
     """Grouping S^x(A+B) by sides reproduces the coproduct term by term."""
     fam = family(version)
     grouped: dict = {}
-    for word in fam.words(key, size, True):
-        pair = split_by_side(word)
+    for _, a, b in fam.words(key, size, True):
+        pair = (a, b)
         grouped[pair] = grouped.get(pair, 0) + 1
     expected: dict = {}
     for (a, b), coeff in fam.ops.coproduct(key).terms.items():
-        left = fam.realize(a, size)
-        right = fam.realize(b, size)
-        for w1 in left.terms:
-            for w2 in right.terms:
-                pair = (w1, retag_side(w2, "B"))
+        left = fam.realize(a, size).codes
+        right = fam.realize(b, size).codes
+        for w2 in right:
+            for w1 in left:
+                pair = (w1, w2)
                 expected[pair] = expected.get(pair, 0) + coeff
     return grouped == expected
 

@@ -4,19 +4,25 @@ Each function states its result by definition: scan every object of the
 target degree and keep the ones that satisfy the defining condition.  The
 library builds the same results term by term; ``test_oracles.py`` checks
 that the two agree.  The oracles are slow on purpose and live only here.
+The compatible-word enumerators build each word as a tuple of letters, the
+way the definition reads; the library enumerates integer word codes.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from treehopf.algebra import FreeElement
 from treehopf.endo import std_restrict
+from treehopf.realization import Letter, Word, _check_truncation
 from treehopf.structures import (
     Endofunction,
     OrderedForest,
     PackedWord,
+    Permutation,
+    StructureError,
     enumerate_endofunctions,
     enumerate_ordered_forests,
     pack,
@@ -97,3 +103,132 @@ def r_product_endo(left: Endofunction, right: Endofunction) -> FreeElement:
         if std_restrict(f, block1) == left and std_restrict(f, block2) == right:
             terms[f] = 1
     return FreeElement("efsym", terms)
+
+
+# Compatible words, letter by letter: the library enumerates their codes.
+
+def _traversal_order(forest: OrderedForest) -> list[int]:
+    kids = forest.children()
+    order: list[int] = []
+    stack = sorted(forest.roots(), reverse=True)
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(sorted(kids[v], reverse=True))
+    return order
+
+
+def iter_forest_words(
+    forest: OrderedForest, version: str, size: int, doubled: bool = False
+) -> Iterator[Word]:
+    """All forest-compatible words with subscripts bounded by ``size``."""
+    if version not in ("v1", "v2"):
+        raise StructureError(f"forest realization version must be v1 or v2, got {version!r}")
+    _check_truncation(size)
+    n = forest.n
+    if n == 0:
+        yield ()
+        return
+    order = _traversal_order(forest)
+    parent = forest.parent
+    letters: list[Letter | None] = [None] * (n + 1)
+    value = [0] * (n + 1)
+    side = [""] * (n + 1)
+    sides = ("A", "B") if doubled else ("A",)
+
+    def root_like(v: int, s: str, idx: int) -> Iterator[Word]:
+        side[v] = s
+        if version == "v2":
+            for val in range(1, size + 1):
+                value[v] = val
+                letters[v] = (s, val, val)
+                yield from assign(idx + 1)
+        else:
+            for first in range(size):
+                for val in range(first + 1, size + 1):
+                    value[v] = val
+                    letters[v] = (s, first, val)
+                    yield from assign(idx + 1)
+
+    def assign(idx: int) -> Iterator[Word]:
+        if idx == n:
+            yield tuple(letters[1:])
+            return
+        v = order[idx]
+        p = parent[v - 1]
+        if p == 0:
+            for s in sides:
+                yield from root_like(v, s, idx)
+        else:
+            side[v] = side[p]
+            for val in range(value[p] + 1, size + 1):
+                value[v] = val
+                letters[v] = (side[p], value[p], val)
+                yield from assign(idx + 1)
+            if doubled and side[p] == "A":
+                yield from root_like(v, "B", idx)  # cut vertex: restarts in B
+
+    yield from assign(0)
+
+
+def iter_endofunction_words(
+    f: Endofunction, size: int, doubled: bool = False
+) -> Iterator[Word]:
+    """All f-compatible words over the i != j alphabet, subscripts <= size."""
+    _check_truncation(size)
+    n = f.n
+    if n == 0:
+        yield ()
+        return
+    moved = [j for j in range(1, n + 1) if f(j) != j]
+    values = range(1, size + 1)
+    side_choices: Iterable[tuple[str, ...]]
+    if doubled:
+        side_choices = itertools.product("AB", repeat=n)
+    else:
+        side_choices = [("A",) * n]
+    for sides in side_choices:
+        # B letters can never sit below A letters along an edge f(j) -> j.
+        if any(sides[f(j) - 1] > sides[j - 1] for j in moved):
+            continue
+        linked = [j for j in moved if sides[f(j) - 1] == sides[j - 1]]
+        free = [j for j in range(1, n + 1) if f(j) == j or sides[f(j) - 1] != sides[j - 1]]
+        for ys in itertools.product(values, repeat=n):
+            if any(ys[f(j) - 1] == ys[j - 1] for j in linked):
+                continue
+            base: list[Letter | None] = [None] * n
+            for j in linked:
+                base[j - 1] = (sides[j - 1], ys[f(j) - 1], ys[j - 1])
+            free_ranges = [[x for x in values if x != ys[j - 1]] for j in free]
+            for xs in itertools.product(*free_ranges):
+                word = list(base)
+                for j, x in zip(free, xs):
+                    word[j - 1] = (sides[j - 1], x, ys[j - 1])
+                yield tuple(word)  # type: ignore[arg-type]
+
+
+def iter_permutation_words(
+    sigma: Permutation, size: int, doubled: bool = False
+) -> Iterator[Word]:
+    """Words a_{i_{sigma^-1(1)} i_1} ... a_{i_{sigma^-1(n)} i_n}; cycles stay
+    on one side of a doubled alphabet."""
+    _check_truncation(size)
+    n = sigma.n
+    if n == 0:
+        yield ()
+        return
+    inv = sigma.inverse()
+    cycles = sigma.cycles()
+    if doubled:
+        cycle_sides = itertools.product("AB", repeat=len(cycles))
+    else:
+        cycle_sides = [("A",) * len(cycles)]
+    for assignment in cycle_sides:
+        sides = [""] * (n + 1)
+        for cyc, s in zip(cycles, assignment):
+            for v in cyc:
+                sides[v] = s
+        for vals in itertools.product(range(1, size + 1), repeat=n):
+            yield tuple(
+                (sides[k], vals[inv(k) - 1], vals[k - 1]) for k in range(1, n + 1)
+            )

@@ -131,6 +131,22 @@ def test_verify_examples_transcript(capsys):
     assert code == 0 and out.encode() == expected
 
 
+REALIZE_EXAMPLES = [
+    ("v1", "0 1"), ("v1", "0 0 2"), ("v2", "0 1"), ("v2", "0 0 2"), ("func", "2 1"), ("func", "1 1 2"),
+]
+
+
+def test_realize_transcripts(capsys):
+    # One stdout line per call, saved byte for byte from a known-good run.
+    expected = (Path(__file__).parent / "data" / "realize_examples.txt").read_bytes()
+    out = []
+    for version, obj in REALIZE_EXAMPLES:
+        code, text, _ = run(capsys, "realize", "--version", version, "--indices", "3", "--object", obj)
+        assert code == 0
+        out.append(text)
+    assert "".join(out).encode() == expected
+
+
 def test_unknown_golden_op_is_rejected():
     from treehopf.verify import _replay_case
 
@@ -187,6 +203,7 @@ def test_config_default_indices(capsys, tmp_path):
         ({"default_indices": True}, "default_indices"),
         ({"enumeration_bound": 2.5}, "enumeration_bound"),
         ([1], "JSON object"),
+        ({"default_indice": 2}, "unknown config key 'default_indice'"),
     ],
 )
 def test_config_values_are_strict(capsys, tmp_path, payload, needle):

@@ -6,11 +6,22 @@ import pytest
 
 import oracles
 from treehopf.bases import forest_down_set, r_product_endo, r_product_forest
-from treehopf.realization import pi_image
+from treehopf.realization import (
+    NCPolynomial,
+    decode_word,
+    encode_word,
+    family,
+    group_doubled,
+    iter_endofunction_words,
+    iter_forest_words,
+    iter_permutation_words,
+    pi_image,
+)
 from treehopf.structures import (
     EnumerationBoundError,
     OrderedForest,
     PackedWord,
+    StructureError,
     enumerate_packed_words,
 )
 from treehopf.words import wqsym_product
@@ -65,3 +76,104 @@ def test_wqsym_product_and_pi_image_keep_the_enumeration_bound():
         wqsym_product(PackedWord((1, 2, 3, 4)), PackedWord((1, 2, 3, 4, 5)))
     with pytest.raises(EnumerationBoundError):
         pi_image(OrderedForest((0,) * 9))
+
+
+# ---------------------------------------------------------------------------
+# Compatible words: the coded enumerator against the letter-tuple oracles
+# ---------------------------------------------------------------------------
+
+WORD_ORACLES = {
+    "v1": lambda key, size, doubled: oracles.iter_forest_words(key, "v1", size, doubled),
+    "v2": lambda key, size, doubled: oracles.iter_forest_words(key, "v2", size, doubled),
+    "func": oracles.iter_endofunction_words,
+    "perm": oracles.iter_permutation_words,
+}
+
+WORD_DECODERS = {
+    "v1": lambda key, size, doubled: iter_forest_words(key, "v1", size, doubled),
+    "v2": lambda key, size, doubled: iter_forest_words(key, "v2", size, doubled),
+    "func": iter_endofunction_words,
+    "perm": iter_permutation_words,
+}
+
+
+def coded_cases(max_degree, size):
+    for version in WORD_ORACLES:
+        for d in range(max_degree + 1):
+            for key in family(version).ops.keys_of_degree(d):
+                for doubled in (False, True):
+                    yield version, key, size, doubled
+
+
+@pytest.mark.parametrize("max_degree, size", [(3, 3), (4, 2)])
+def test_decoded_words_match_the_oracle(max_degree, size):
+    for version, key, size, doubled in coded_cases(max_degree, size):
+        got = list(WORD_DECODERS[version](key, size, doubled))
+        want = sorted(WORD_ORACLES[version](key, size, doubled))
+        assert len(set(got)) == len(got), (version, key, doubled)
+        assert sorted(got) == want, (version, key, doubled)
+        for word in want:
+            assert decode_word(encode_word(word, size), size) == word
+
+
+@pytest.mark.parametrize("max_degree, size", [(3, 3), (4, 2)])
+def test_doubled_triples_split_the_oracle_words_by_side(max_degree, size):
+    for version, key, size, doubled in coded_cases(max_degree, size):
+        if not doubled:
+            continue
+        triples = list(family(version).words(key, size, True))
+        got = sorted(
+            (decode_word(a, size), tuple(("B", i, j) for _, i, j in decode_word(b, size)))
+            for _, a, b in triples
+        )
+        assert got == sorted(
+            (tuple(l for l in w if l[0] == "A"), tuple(l for l in w if l[0] == "B"))
+            for w in WORD_ORACLES[version](key, size, True)
+        )
+        counts = {}
+        for pair in got:
+            counts[pair] = counts.get(pair, 0) + 1
+        assert group_doubled(family(version).realize(key, size, True)) == counts
+        for mask, a, b in triples:
+            assert mask.bit_count() == len(decode_word(b, size)) == key.n - len(decode_word(a, size))
+
+
+def polynomial_sum(p, q):
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def polynomial_product(p, q):
+    out = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def test_mixed_size_polynomials_agree_with_their_decoded_terms():
+    fam = family("v2")
+    small = fam.realize(OrderedForest((0, 1)), 2)
+    large = fam.realize(OrderedForest((0, 1)), 4)
+    recoded = NCPolynomial.from_codes({encode_word(w, 4): c for w, c in small.terms.items()}, 4)
+    rebuilt = NCPolynomial(small.terms)
+    mixed = 2 * small + (-1) * fam.realize(OrderedForest((0,)), 3)  # words of lengths 1 and 2
+    assert [p.size for p in (small, large, recoded, rebuilt, mixed)] == [2, 4, 4, 2, 3]
+    polys = [small, large, recoded, rebuilt, mixed, NCPolynomial()]
+    for p in polys:
+        for q in polys:
+            assert (p == q) == (p.terms == q.terms), (p.size, q.size)
+            if p == q:
+                assert hash(p) == hash(q)
+            assert (p + q).terms == polynomial_sum(p.terms, q.terms)
+            assert (p * q).terms == polynomial_product(p.terms, q.terms)
+    assert small == recoded == rebuilt and small != large
+    assert mixed + (-1) * mixed == NCPolynomial()
+
+
+def test_letters_outside_the_alphabet_are_rejected():
+    for letter in (("C", 1, 2), ("A", 1, 0), ("A", -1, 2)):
+        with pytest.raises(StructureError):
+            NCPolynomial({(letter,): 1})

@@ -7,9 +7,9 @@ from treehopf.endo import shifted_concat
 from treehopf.realization import (
     FAMILIES,
     NCPolynomial,
+    code_base,
     commutative_image,
     family,
-    iter_endofunction_words,
     pi_image,
     polynomial_to_json,
     project_second_subscript,
@@ -166,38 +166,22 @@ def test_multiplicativity_total_degree_4_at_n8(version):
                     assert multiplicativity_ok(version, a, b, 8), (version, a, b)
 
 
-def _word_encoder(size):
-    base = 2 * (size + 1) * (size + 1)
-
-    def encode(word):
-        x = 0
-        for side, i, j in reversed(word):
-            x = x * base + ((side == "B") * (size + 1) + i) * (size + 1) + j
-        return x
-
-    return base, encode
-
-
 @pytest.mark.slow
 def test_func_multiplicativity_total_degree_4_at_n8_streamed():
-    # The degree-4 polynomials reach ~10^7 words; compare via integer-encoded
-    # streams instead of materializing both sides as dictionaries.
+    # The degree-4 polynomials reach ~10^7 words; compare the streams of word
+    # codes instead of materializing both sides as polynomials.
     size = 8
-    base, encode = _word_encoder(size)
+    base = code_base(size)
+    words_of = family("func").words
     target_cache = {}
 
     def target_for(f):
         if f not in target_cache:
-            target_cache[f] = frozenset(
-                encode(w) for w in iter_endofunction_words(f, size)
-            )
+            target_cache[f] = frozenset(words_of(f, size, False))
         return target_cache[f]
 
     keys = {d: enumerate_endofunctions(d) for d in (1, 2, 3)}
-    words = {
-        d: {f: [encode(w) for w in iter_endofunction_words(f, size)] for f in keys[d]}
-        for d in (1, 2, 3)
-    }
+    words = {d: {f: list(words_of(f, size, False)) for f in keys[d]} for d in (1, 2, 3)}
     for total in (2, 3, 4):
         for d1 in range(1, total):
             d2 = total - d1
@@ -257,6 +241,12 @@ def test_rank_check_families_degree_2():
     assert rep.full and rep.rank == 3
     rep = rank_check(enumerate_endofunctions(2), realizer_for("func"), 6, label="func deg 2")
     assert rep.full and rep.rank == 4
+
+
+def test_rank_check_accepts_a_generator_of_keys():
+    fam = family("v2")
+    rep = rank_check((k for k in fam.ops.keys_of_degree(2)), fam.realize, 6)
+    assert rep.summary() == "N=6: rank 3 of 3 (independent)"
 
 
 # ---------------------------------------------------------------------------
