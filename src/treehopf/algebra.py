@@ -2,15 +2,15 @@
 
 Elements are finite integer combinations of basis keys; every structure
 constant in this package is an integer, so any non-integer coefficient is a
-bug.  Concrete algebras register themselves in :data:`ALGEBRAS` with
-product/coproduct/degree callbacks, and the axiom checkers below
+bug.  Concrete algebras register themselves in :data:`ALGEBRAS` with their
+key type, enumeration, product and coproduct, and the axiom checkers below
 (coassociativity, product/coproduct compatibility, antipode convolution)
-work uniformly over the registry.
+work uniformly over the registry.  Keys carry their own degree ``.n``,
+``parse``, ``render()`` and ``sort_key()``; the unit key is ``parse("")``.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass, field
@@ -125,15 +125,13 @@ class AlgebraOps:
 
     tag: str
     key_type: type
-    unit_key: Any
-    degree: Callable[[Any], int]
     keys_of_degree: Callable[[int], Sequence]
     product: Callable[[Any, Any], FreeElement]
     coproduct: Callable[[Any], TensorElement]
-    parse_key: Callable[[str], Any]
-    render_key: Callable[[Any], str]
-    sort_key: Callable[[Any], Any]
     default_basis: str = "S"
+
+    parse_key = property(lambda self: self.key_type.parse)
+    unit_key = property(lambda self: self.key_type.parse(""))
 
 
 ALGEBRAS: dict[str, AlgebraOps] = {}
@@ -244,7 +242,7 @@ def check_coassociativity(tag: str, max_degree: int) -> CheckReport:
         for key in ops.keys_of_degree(n):
             report.checked += 1
             if _triple_coproduct(ops.tag, key, True) != _triple_coproduct(ops.tag, key, False):
-                report.failures.append(ops.render_key(key))
+                report.failures.append(key.render())
     return report
 
 
@@ -268,7 +266,7 @@ def check_bialgebra_compat(
         lhs = coproduct_element(ops.product(a, b))
         rhs = tensor_product(ops.coproduct(a), ops.coproduct(b))
         if lhs != rhs:
-            report.failures.append(f"{ops.render_key(a)} | {ops.render_key(b)}")
+            report.failures.append(f"{a.render()} | {b.render()}")
 
     top = max_degree if sample_degree is None else max(max_degree, sample_degree)
     keys = [ops.keys_of_degree(d) for d in range(top + 1)]
@@ -300,13 +298,13 @@ def antipode_key(tag: str, key) -> FreeElement:
     cached = _ANTIPODE_CACHE.get((ops.tag, key))
     if cached is not None:
         return cached
-    if ops.degree(key) == 0:
+    if key.n == 0:
         if key != ops.unit_key:
-            raise AlgebraTagError(f"degree-0 key {ops.render_key(key)!r} is not the unit")
+            raise AlgebraTagError(f"degree-0 key {key.render()!r} is not the unit")
         return unit_element(ops.tag)
     acc = {key: -1}
     for (a, b), coeff in ops.coproduct(key).terms.items():
-        if ops.degree(a) == 0 or ops.degree(b) == 0:
+        if a.n == 0 or b.n == 0:
             continue  # reduced coproduct only
         for k, c in antipode_key(ops.tag, a).terms.items():
             accumulate(acc, ops.product(k, b).terms, -coeff * c)
@@ -334,7 +332,7 @@ def check_antipode(tag: str, max_degree: int) -> CheckReport:
                 for k, c in antipode_key(ops.tag, a).terms.items():
                     accumulate(conv, ops.product(k, b).terms, coeff * c)
             if any(conv.values()):  # counit vanishes in positive degree
-                report.failures.append(ops.render_key(key))
+                report.failures.append(key.render())
     return report
 
 
@@ -345,11 +343,11 @@ def check_antipode(tag: str, max_degree: int) -> CheckReport:
 def element_to_json(x: FreeElement, basis: str | None = None) -> dict:
     ops = get_algebra(x.algebra)
     chosen = basis or ops.default_basis
-    terms = sorted(x.terms.items(), key=lambda kv: (ops.degree(kv[0]), ops.sort_key(kv[0])))
+    terms = sorted(x.terms.items(), key=lambda kv: kv[0].sort_key())
     return {
         "algebra": ops.tag,
         "basis": chosen,
-        "terms": [{"coeff": str(c), "key": ops.render_key(k)} for k, c in terms],
+        "terms": [{"coeff": str(c), "key": k.render()} for k, c in terms],
     }
 
 
@@ -364,56 +362,48 @@ def _coeff_from_json(raw) -> int:
     raise AlgebraTagError(f"bad coefficient {raw!r}")
 
 
+def _json_field(data, name: str, kind: type | None, what: str):
+    """data[name], which must hold a value of JSON type ``kind`` if given."""
+    try:
+        value = data[name]
+    except (KeyError, TypeError) as exc:
+        raise AlgebraTagError(f"bad {what}: {exc}") from None
+    if kind is not None and not isinstance(value, kind):
+        raise AlgebraTagError(f"bad {what}: {name!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _terms_from_json(data, fields: tuple[str, ...], what: str) -> tuple[AlgebraOps, dict]:
+    """The algebra and summed terms of a JSON element (``fields`` ("key",))
+    or tensor (("left", "right")); a wrong shape raises AlgebraTagError."""
+    ops = get_algebra(_json_field(data, "algebra", str, f"{what} JSON"))
+    terms: dict = {}
+    for entry in _json_field(data, "terms", list, f"{what} JSON"):
+        texts = [_json_field(entry, name, str, f"{what} term {entry!r}") for name in fields]
+        raw = _json_field(entry, "coeff", None, f"{what} term {entry!r}")
+        key = tuple(map(ops.parse_key, texts)) if len(texts) > 1 else ops.parse_key(texts[0])
+        terms[key] = terms.get(key, 0) + _coeff_from_json(raw)
+    return ops, terms
+
+
 def element_from_json(data: dict) -> tuple[FreeElement, str]:
     """Decode the JSON element schema; returns (element, basis)."""
-    try:
-        ops = get_algebra(data["algebra"])
-        basis = data.get("basis", ops.default_basis)
-        raw = data["terms"]
-    except (KeyError, TypeError) as exc:
-        raise AlgebraTagError(f"bad element JSON: {exc}") from None
-    terms: dict = {}
-    for entry in raw:
-        try:
-            key_text, coeff_text = entry["key"], entry["coeff"]
-        except (KeyError, TypeError) as exc:
-            raise AlgebraTagError(f"bad element term {entry!r}: {exc}") from None
-        key = ops.parse_key(key_text)
-        terms[key] = terms.get(key, 0) + _coeff_from_json(coeff_text)
-    return FreeElement(ops.tag, terms), basis
-
-
-def element_to_text(x: FreeElement) -> str:
-    return json.dumps(element_to_json(x), indent=None, separators=(",", ":"))
+    ops, terms = _terms_from_json(data, ("key",), "element")
+    return FreeElement(ops.tag, terms), data.get("basis", ops.default_basis)
 
 
 def tensor_to_json(t: TensorElement) -> dict:
     ops = get_algebra(t.algebra)
-    terms = sorted(
-        t.terms.items(),
-        key=lambda kv: (
-            ops.degree(kv[0][0]),
-            ops.sort_key(kv[0][0]),
-            ops.degree(kv[0][1]),
-            ops.sort_key(kv[0][1]),
-        ),
-    )
+    terms = sorted(t.terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
     return {
         "algebra": ops.tag,
         "basis": ops.default_basis,
-        "terms": [
-            {"coeff": str(c), "left": ops.render_key(a), "right": ops.render_key(b)}
-            for (a, b), c in terms
-        ],
+        "terms": [{"coeff": str(c), "left": a.render(), "right": b.render()} for (a, b), c in terms],
     }
 
 
 def tensor_from_json(data: dict) -> TensorElement:
-    ops = get_algebra(data["algebra"])
-    terms: dict = {}
-    for entry in data["terms"]:
-        pair = (ops.parse_key(entry["left"]), ops.parse_key(entry["right"]))
-        terms[pair] = terms.get(pair, 0) + _coeff_from_json(entry["coeff"])
+    ops, terms = _terms_from_json(data, ("left", "right"), "tensor")
     return TensorElement(ops.tag, terms)
 
 
@@ -422,8 +412,8 @@ def element_to_latex(x: FreeElement) -> str:
     ops = get_algebra(x.algebra)
     letter = {"wqsym": "M"}.get(ops.tag, "S")
     bits = []
-    for key, coeff in sorted(x.terms.items(), key=lambda kv: (ops.degree(kv[0]), ops.sort_key(kv[0]))):
-        body = f"{letter}^{{({ops.render_key(key)})}}"
+    for key, coeff in sorted(x.terms.items(), key=lambda kv: kv[0].sort_key()):
+        body = f"{letter}^{{({key.render()})}}"
         if coeff == 1:
             piece = body
         elif coeff == -1:

@@ -61,6 +61,12 @@ def _read_element(path: str) -> tuple[FreeElement, str]:
     return element_from_json(json.loads(text))
 
 
+def _require_default_basis(x: FreeElement, basis: str) -> None:
+    expected = get_algebra(x.algebra).default_basis
+    if basis != expected:
+        raise UsageError(f"{x.algebra} element carries basis {basis}, expected {expected}")
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=None, separators=(",", ":"), sort_keys=False))
     sys.stdout.write("\n")
@@ -98,8 +104,7 @@ def cmd_coproduct(args) -> int:
     x, basis = _read_element(args.x)
     if x.algebra != args.algebra:
         raise UsageError(f"element is tagged {x.algebra}, not {args.algebra}")
-    if basis not in ("S", "M"):
-        raise UsageError("coproduct expects an S-basis (or M-basis) element")
+    _require_default_basis(x, basis)
     _emit(tensor_to_json(coproduct_element(x)))
     return 0
 
@@ -128,7 +133,8 @@ def cmd_realize(args, config: dict) -> int:
 
 
 def cmd_morphism(args) -> int:
-    x, _ = _read_element(args.x)
+    x, basis = _read_element(args.x)
+    _require_default_basis(x, basis)
     if args.map == "pi":
         out, basis = morphisms.pi_hopf(x), "M"
     elif args.map == "f_F":

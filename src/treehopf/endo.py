@@ -2,8 +2,8 @@
 
 The product is shifted concatenation; the coproduct sums over the ideals of
 the functional graph (subsets closed under preimages), standardizing both
-the ideal part and its complement.  Fixed points are created wherever a
-value escapes the restriction set.
+the ideal part and its complement, where escaping values become fixed: the
+cut rule of :mod:`treehopf.structures`, shared with the forests through f_F.
 """
 
 from __future__ import annotations
@@ -15,12 +15,17 @@ from .structures import (
     Endofunction,
     Permutation,
     StructureError,
+    closed_subsets,
+    cut_terms,
     cycle_vertices,
     distance_to_cycle,
     enumerate_endofunctions,
     enumerate_permutations,
-    _check_bound,
+    mask_vertices,
+    restrict_image,
 )
+
+IDEALS = "ideal enumeration"
 
 
 def shifted_concat(f: Endofunction, g: Endofunction) -> Endofunction:
@@ -44,13 +49,7 @@ class IdealOfF:
 
 def ideals(f: Endofunction, bound: int | None = None) -> list[IdealOfF]:
     """All ideals of f, in increasing bitmask order."""
-    _check_bound(f.n, bound, "ideal enumeration")
-    out = []
-    for mask in range(1 << f.n):
-        members = frozenset(v for v in range(1, f.n + 1) if mask >> (v - 1) & 1)
-        if all(j in members for j in range(1, f.n + 1) if f(j) in members):
-            out.append(IdealOfF(f, members))
-    return out
+    return [IdealOfF(f, frozenset(mask_vertices(m))) for m in closed_subsets(f.image, bound, IDEALS)]
 
 
 def std_restrict(f: Endofunction, subset) -> Endofunction:
@@ -59,24 +58,12 @@ def std_restrict(f: Endofunction, subset) -> Endofunction:
     keep = sorted(set(subset))
     if any(v < 1 or v > f.n for v in keep):
         raise StructureError(f"{keep} is not a subset of the domain of {f.render()}")
-    index = {v: i + 1 for i, v in enumerate(keep)}
-    image = []
-    for v in keep:
-        fv = f(v)
-        image.append(index[fv] if fv in index else index[v])
-    return Endofunction(tuple(image))
+    return Endofunction(restrict_image(f.image, keep))
 
 
 def efsym_coproduct(f: Endofunction) -> TensorElement:
     """One term std(f^{[n] minus I}) (x) std(f^I) per ideal I of f."""
-    terms: dict = {}
-    domain = set(range(1, f.n + 1))
-    for ideal in ideals(f):
-        left = std_restrict(f, domain - ideal.members)
-        right = std_restrict(f, ideal.members)
-        pair = (left, right)
-        terms[pair] = terms.get(pair, 0) + 1
-    return TensorElement("efsym", terms)
+    return TensorElement("efsym", cut_terms(f.image, Endofunction, IDEALS))
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +76,7 @@ def sgsym_product(s: Permutation, t: Permutation) -> Permutation:
 
 def sgsym_coproduct(s: Permutation) -> TensorElement:
     """Ideals of a permutation are unions of cycles, so this splits cycles."""
-    terms: dict = {}
-    for (left, right), coeff in efsym_coproduct(Endofunction(s.image)).terms.items():
-        pair = (Permutation(left.image), Permutation(right.image))
-        terms[pair] = terms.get(pair, 0) + coeff
-    return TensorElement("sgsym", terms)
+    return TensorElement("sgsym", cut_terms(s.image, Permutation, IDEALS))
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +127,9 @@ register_algebra(
     AlgebraOps(
         tag="efsym",
         key_type=Endofunction,
-        unit_key=Endofunction(()),
-        degree=lambda f: f.n,
         keys_of_degree=enumerate_endofunctions,
         product=lambda a, b: FreeElement.from_key("efsym", shifted_concat(a, b)),
         coproduct=efsym_coproduct,
-        parse_key=Endofunction.parse,
-        render_key=Endofunction.render,
-        sort_key=lambda f: f.image,
     )
 )
 
@@ -159,13 +137,8 @@ register_algebra(
     AlgebraOps(
         tag="sgsym",
         key_type=Permutation,
-        unit_key=Permutation(()),
-        degree=lambda f: f.n,
         keys_of_degree=enumerate_permutations,
         product=lambda a, b: FreeElement.from_key("sgsym", sgsym_product(a, b)),
         coproduct=sgsym_coproduct,
-        parse_key=Permutation.parse,
-        render_key=Permutation.render,
-        sort_key=lambda f: f.image,
     )
 )

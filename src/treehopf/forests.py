@@ -5,7 +5,10 @@
 * ``ho``  -- noncommutative algebra on ordered forests; product shifts the
   second factor's labels, coproduct cuts and re-standardizes both parts.
 * ``nck`` -- noncommutative algebra on plane forests, transported through
-  the canonical left depth-first labelling (single cut engine for all three).
+  the canonical left depth-first labelling.
+
+All three cut along the preimage-closed vertex sets of f_F (each vertex to
+its parent, each root to itself), the rule shared with the endofunctions.
 
 Also provides the auxiliary grafting product ``nwarrow`` on ordered forests.
 """
@@ -19,14 +22,17 @@ from .structures import (
     RootedForest,
     StructureError,
     canonicalize,
-    enumerate_admissible_cuts,
+    cut_terms,
     enumerate_ordered_forests,
     enumerate_plane_forests,
     enumerate_rooted_forests,
-    lea_roo,
+    forest_from_image,
+    forest_image,
     ordered_to_plane,
     plane_to_ordered,
 )
+
+CUTS = "admissible cut enumeration"
 
 # ---------------------------------------------------------------------------
 # Ordered forests
@@ -41,12 +47,7 @@ def ho_product(left: OrderedForest, right: OrderedForest) -> OrderedForest:
 
 def ho_coproduct(forest: OrderedForest) -> TensorElement:
     """Sum of Roo (x) Lea over all admissible cuts, both parts standardized."""
-    terms: dict = {}
-    for cut in enumerate_admissible_cuts(forest):
-        roo, lea = lea_roo(forest, cut)
-        pair = (roo, lea)
-        terms[pair] = terms.get(pair, 0) + 1
-    return TensorElement("ho", terms)
+    return TensorElement("ho", cut_terms(forest_image(forest), forest_from_image, CUTS))
 
 
 def nwarrow(left: OrderedForest, right: OrderedForest) -> OrderedForest:
@@ -69,12 +70,8 @@ def ck_product(left: RootedForest, right: RootedForest) -> RootedForest:
 
 def ck_coproduct(forest: RootedForest) -> TensorElement:
     """Cuts computed on any labelling; both factors canonicalized."""
-    labelled = plane_to_ordered(forest.as_plane())
-    terms: dict = {}
-    for (roo, lea), coeff in ho_coproduct(labelled).terms.items():
-        pair = (canonicalize(roo), canonicalize(lea))
-        terms[pair] = terms.get(pair, 0) + coeff
-    return TensorElement("ck", terms)
+    image = forest_image(plane_to_ordered(forest.as_plane()))
+    return TensorElement("ck", cut_terms(image, lambda part: canonicalize(forest_from_image(part)), CUTS))
 
 
 # ---------------------------------------------------------------------------
@@ -92,12 +89,8 @@ def nck_coproduct(forest: PlaneForest) -> TensorElement:
     plane forest standardizes to the image of a plane forest; readback fails
     loudly if that ever breaks.
     """
-    labelled = plane_to_ordered(forest)
-    terms: dict = {}
-    for (roo, lea), coeff in ho_coproduct(labelled).terms.items():
-        pair = (ordered_to_plane(roo), ordered_to_plane(lea))
-        terms[pair] = terms.get(pair, 0) + coeff
-    return TensorElement("nck", terms)
+    image = forest_image(plane_to_ordered(forest))
+    return TensorElement("nck", cut_terms(image, lambda part: ordered_to_plane(forest_from_image(part)), CUTS))
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +101,9 @@ register_algebra(
     AlgebraOps(
         tag="ho",
         key_type=OrderedForest,
-        unit_key=OrderedForest(()),
-        degree=lambda f: f.n,
         keys_of_degree=enumerate_ordered_forests,
         product=lambda a, b: FreeElement.from_key("ho", ho_product(a, b)),
         coproduct=ho_coproduct,
-        parse_key=OrderedForest.parse,
-        render_key=OrderedForest.render,
-        sort_key=lambda f: f.parent,
     )
 )
 
@@ -123,14 +111,9 @@ register_algebra(
     AlgebraOps(
         tag="ck",
         key_type=RootedForest,
-        unit_key=RootedForest(""),
-        degree=lambda f: f.n,
         keys_of_degree=enumerate_rooted_forests,
         product=lambda a, b: FreeElement.from_key("ck", ck_product(a, b)),
         coproduct=ck_coproduct,
-        parse_key=RootedForest.parse,
-        render_key=RootedForest.render,
-        sort_key=lambda f: f.canonical,
     )
 )
 
@@ -138,13 +121,8 @@ register_algebra(
     AlgebraOps(
         tag="nck",
         key_type=PlaneForest,
-        unit_key=PlaneForest(()),
-        degree=lambda f: f.n,
         keys_of_degree=enumerate_plane_forests,
         product=lambda a, b: FreeElement.from_key("nck", nck_product(a, b)),
         coproduct=nck_coproduct,
-        parse_key=PlaneForest.parse,
-        render_key=PlaneForest.render,
-        sort_key=lambda f: f.render(),
     )
 )

@@ -22,6 +22,8 @@ from .structures import (
     StructureError,
     canonicalize,
     enumerate_plane_forests,
+    forest_from_image,
+    forest_image,
     ordered_to_plane,
     pack,
     plane_to_ordered,
@@ -107,7 +109,7 @@ def f_w_preimage(w: PackedWord) -> OrderedForest:
 
 def forest_to_endo(forest: OrderedForest) -> Endofunction:
     """f_F: each vertex maps to its parent, roots to themselves."""
-    return Endofunction(tuple(p if p != 0 else v for v, p in enumerate(forest.parent, start=1)))
+    return Endofunction(forest_image(forest))
 
 
 def endo_to_forest(f: Endofunction) -> OrderedForest:
@@ -116,7 +118,7 @@ def endo_to_forest(f: Endofunction) -> OrderedForest:
 
     if not is_acyclic(f):
         raise StructureError(f"{f.render()} has a cycle of length >= 2")
-    return OrderedForest(tuple(0 if f(v) == v else f(v) for v in range(1, f.n + 1)))
+    return forest_from_image(f.image)
 
 
 def plane_to_parking(plane: PlaneForest) -> Endofunction:

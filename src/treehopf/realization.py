@@ -46,6 +46,7 @@ from .structures import (
     Permutation,
     StructureError,
     _check_bound,
+    closed_subsets,
 )
 
 Letter = tuple[str, int, int]
@@ -291,17 +292,6 @@ def _assign(steps: list) -> list[int]:
     return groups.get((), [])
 
 
-def _masks(parent: Sequence[int]) -> Iterator[int]:
-    """B-position masks where no B letter sits above an A letter."""
-    n = len(parent)
-    for mask in range(1 << n):
-        if all(
-            mask >> (v - 1) & 1 or not (p and mask >> (p - 1) & 1)
-            for v, p in enumerate(parent, start=1)
-        ):
-            yield mask
-
-
 def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, root: str):
     """The ``words`` slot of a family: codes of S^x, or (mask, A-subword,
     B-subword) triples over the doubled alphabet."""
@@ -310,8 +300,11 @@ def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, roo
         return _assign(_steps(parent, side, relation, root, size))
 
     def doubled_words(parent: Sequence[int], size: int) -> Iterator[tuple[int, int, int]]:
+        # No B letter sits above an A letter: the B positions form a closed
+        # set of the parent map.  The word count, not the size, bounds them.
+        image = tuple(p or v for v, p in enumerate(parent, start=1))
         positions = range(1, len(parent) + 1)
-        for mask in _masks(parent):
+        for mask in closed_subsets(image, bound=len(parent)):
             a_codes = side_words(parent, [v for v in positions if not mask >> (v - 1) & 1], size)
             b_codes = side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size)
             for b in b_codes:

@@ -17,6 +17,9 @@ Text formats (bit-exact):
 * ``RootedForest``   -- canonical form: each tree rendered as ``"("`` +
   lexicographically sorted child forms + ``")"``, trees sorted
   lexicographically and space-separated.
+
+The five cut coproducts split a key along the preimage-closed vertex sets
+of its map, f_F for forests (:func:`cut_terms`).
 """
 
 from __future__ import annotations
@@ -161,12 +164,7 @@ def restrict_forest(forest: OrderedForest, vertices: Iterable[int]) -> OrderedFo
     keep = sorted(set(vertices))
     if any(v < 1 or v > forest.n for v in keep):
         raise StructureError(f"restriction set {keep} not a subset of the vertex set")
-    index = {v: i + 1 for i, v in enumerate(keep)}
-    parent = []
-    for v in keep:
-        p = forest.parent[v - 1]
-        parent.append(index[p] if p in index else 0)
-    return OrderedForest(tuple(parent))
+    return forest_from_image(restrict_image(forest_image(forest), keep))
 
 
 def enumerate_ordered_forests(n: int, bound: int | None = None) -> list[OrderedForest]:
@@ -204,6 +202,74 @@ def enumerate_ordered_forests(n: int, bound: int | None = None) -> list[OrderedF
 
 
 # ---------------------------------------------------------------------------
+# The cut rule: preimage-closed vertex sets of one map
+# ---------------------------------------------------------------------------
+
+# A map on {1..n} is its image tuple: the key itself for endofunctions, f_F
+# for forests.  A vertex set is a bitmask, bit v-1 for vertex v.
+
+def mask_vertices(mask: int) -> list[int]:
+    return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
+
+
+def forest_image(forest: OrderedForest) -> tuple[int, ...]:
+    """f_F: each vertex goes to its parent, each root to itself."""
+    return tuple(p or v for v, p in enumerate(forest.parent, start=1))
+
+
+def forest_from_image(image: Sequence[int]) -> OrderedForest:
+    """The forest with f_F = ``image``: its fixed points are the roots."""
+    return OrderedForest(tuple(0 if w == v else w for v, w in enumerate(image, start=1)))
+
+
+def closed_subsets(image: Sequence[int], bound: int | None = None, what: str = "closed sets") -> list[int]:
+    """Bitmasks of the vertex sets I with f^{-1}(I) inside I, ascending.
+
+    Vertices are decided from n down to 1.  Taking v takes every vertex whose
+    iterates reach v; v is skipped when one of those was left out.  Every
+    branch ends in a closed set, so no 2^n filter runs."""
+    n = len(image)
+    _check_bound(n, bound, what)
+    reach = [1 << v for v in range(n)]  # reach[v]: vertices whose iterates reach v
+    for u in range(n):
+        seen, w = 0, u
+        while not seen >> w & 1:
+            seen |= 1 << w
+            reach[w] |= 1 << u
+            w = image[w] - 1
+    masks = [0]
+    for v in range(n - 1, -1, -1):
+        above = -(2 << v)  # the vertices decided before v
+        grown = []
+        for m in masks:
+            grown.append(m)
+            if not m >> v & 1 and not reach[v] & above & ~m:
+                grown.append(m | reach[v])
+        masks = grown
+    return masks
+
+
+def restrict_image(image: Sequence[int], part: Sequence[int]) -> tuple[int, ...]:
+    """The map on the increasing vertex list ``part``, standardized: a value
+    escaping ``part`` becomes a fixed point, then part[i] is renamed i+1."""
+    index = {v: i for i, v in enumerate(part, start=1)}
+    return tuple(index.get(image[v - 1], i) for v, i in index.items())
+
+
+def cut_terms(image: Sequence[int], make, what: str) -> dict:
+    """The cut coproduct: make(Roo) (x) make(Lea) summed over the closed sets
+    Lea, where Roo is the complement and each part a standardized restriction."""
+    full = (1 << len(image)) - 1
+    part = lru_cache(maxsize=None)(make)  # parts repeat across the cuts of one key
+    terms: dict = {}
+    for lea in closed_subsets(image, None, what):
+        pair = (part(restrict_image(image, mask_vertices(full ^ lea))),
+                part(restrict_image(image, mask_vertices(lea))))
+        terms[pair] = terms.get(pair, 0) + 1
+    return terms
+
+
+# ---------------------------------------------------------------------------
 # Admissible cuts
 # ---------------------------------------------------------------------------
 
@@ -231,20 +297,18 @@ def is_admissible(forest: OrderedForest, cut: AdmissibleCut | Iterable[int]) -> 
 def enumerate_admissible_cuts(forest, bound: int | None = None) -> list[AdmissibleCut]:
     """All admissible cuts of ``forest``, in increasing bitmask order.
 
+    A cut is the set of lowest vertices of its Lea part, a closed set of f_F.
     Unlabelled forests are cut through the depth-first labelling of their
     canonical form (cuts are vertex subsets, so the labelling only names them).
     """
     if not isinstance(forest, OrderedForest):
         forest = plane_to_ordered(forest.as_plane())
-    _check_bound(forest.n, bound, "admissible cut enumeration")
-    n = forest.n
-    anc = [forest.ancestors(v) for v in range(1, n + 1)]
-    out = []
-    for mask in range(1 << n):
-        members = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
-        if all(not (anc[v - 1] & set(members)) for v in members):
-            out.append(AdmissibleCut(frozenset(members)))
-    return out
+    image = forest_image(forest)
+    cuts = [
+        sum(1 << (v - 1) for v in mask_vertices(lea) if image[v - 1] == v or not lea >> (image[v - 1] - 1) & 1)
+        for lea in closed_subsets(image, bound, "admissible cut enumeration")
+    ]
+    return [AdmissibleCut(frozenset(mask_vertices(cut))) for cut in sorted(cuts)]
 
 
 def lea_roo(forest, cut: AdmissibleCut | Iterable[int]):
@@ -262,12 +326,9 @@ def lea_roo(forest, cut: AdmissibleCut | Iterable[int]):
     members = cut.vertices if isinstance(cut, AdmissibleCut) else frozenset(cut)
     if not is_admissible(forest, members):
         raise StructureError(f"cut {sorted(members)} is not admissible")
-    lea = set()
-    for v in range(1, forest.n + 1):
-        if v in members or forest.ancestors(v) & members:
-            lea.add(v)
-    roo = set(range(1, forest.n + 1)) - lea
-    return restrict_forest(forest, roo), restrict_forest(forest, lea)
+    vertices = set(range(1, forest.n + 1))
+    lea = {v for v in vertices if v in members or forest.ancestors(v) & members}
+    return restrict_forest(forest, vertices - lea), restrict_forest(forest, lea)
 
 
 # ---------------------------------------------------------------------------

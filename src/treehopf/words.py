@@ -90,14 +90,9 @@ register_algebra(
     AlgebraOps(
         tag="wqsym",
         key_type=PackedWord,
-        unit_key=PackedWord(()),
-        degree=lambda u: u.n,
         keys_of_degree=enumerate_packed_words,
         product=wqsym_product,
         coproduct=wqsym_coproduct,
-        parse_key=PackedWord.parse,
-        render_key=PackedWord.render,
-        sort_key=lambda u: u.letters,
         default_basis="M",
     )
 )

@@ -14,7 +14,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from treehopf.algebra import FreeElement
+from treehopf.algebra import FreeElement, TensorElement
 from treehopf.endo import std_restrict
 from treehopf.realization import Letter, Word, _check_truncation
 from treehopf.structures import (
@@ -23,9 +23,12 @@ from treehopf.structures import (
     PackedWord,
     Permutation,
     StructureError,
+    canonicalize,
     enumerate_endofunctions,
     enumerate_ordered_forests,
+    ordered_to_plane,
     pack,
+    plane_to_ordered,
     restrict_forest,
 )
 
@@ -103,6 +106,69 @@ def r_product_endo(left: Endofunction, right: Endofunction) -> FreeElement:
         if std_restrict(f, block1) == left and std_restrict(f, block2) == right:
             terms[f] = 1
     return FreeElement("efsym", terms)
+
+
+# The cut rule: every vertex subset, keeping the preimage-closed ones.
+
+def closed_sets(image: tuple[int, ...]) -> list[frozenset[int]]:
+    """Vertex sets I with f^{-1}(I) inside I, in increasing bitmask order."""
+    n = len(image)
+    out = []
+    for mask in range(1 << n):
+        members = frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+        if all(v in members for v in range(1, n + 1) if image[v - 1] in members):
+            out.append(members)
+    return out
+
+
+def admissible_cuts(forest: OrderedForest) -> list[frozenset[int]]:
+    """Vertex sets holding no strict ancestor of a member, in increasing
+    bitmask order."""
+    n = forest.n
+    out = []
+    for mask in range(1 << n):
+        members = frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+        if not any(forest.ancestors(v) & members for v in members):
+            out.append(members)
+    return out
+
+
+def _restrict(image: tuple[int, ...], part: Iterable[int]) -> tuple[int, ...]:
+    """f on ``part``, with escaping values made fixed, renamed onto {1..k}."""
+    keep = sorted(part)
+    rank = {v: i + 1 for i, v in enumerate(keep)}
+    return tuple(rank[image[v - 1]] if image[v - 1] in rank else rank[v] for v in keep)
+
+
+def _cut_coproduct(tag: str, image: tuple[int, ...], make) -> TensorElement:
+    """Sum of make(f on the complement) (x) make(f on I) over closed I."""
+    domain = set(range(1, len(image) + 1))
+    terms: dict = {}
+    for lea in closed_sets(image):
+        pair = (make(_restrict(image, domain - lea)), make(_restrict(image, lea)))
+        terms[pair] = terms.get(pair, 0) + 1
+    return TensorElement(tag, terms)
+
+
+def _parent_map(forest: OrderedForest) -> tuple[int, ...]:
+    return tuple(p if p else v for v, p in enumerate(forest.parent, start=1))
+
+
+def _forest(image: tuple[int, ...]) -> OrderedForest:
+    return OrderedForest(tuple(0 if w == v else w for v, w in enumerate(image, start=1)))
+
+
+COPRODUCTS = {
+    "ho": lambda f: _cut_coproduct("ho", _parent_map(f), _forest),
+    "ck": lambda f: _cut_coproduct(
+        "ck", _parent_map(plane_to_ordered(f.as_plane())), lambda image: canonicalize(_forest(image))
+    ),
+    "nck": lambda f: _cut_coproduct(
+        "nck", _parent_map(plane_to_ordered(f)), lambda image: ordered_to_plane(_forest(image))
+    ),
+    "efsym": lambda f: _cut_coproduct("efsym", f.image, Endofunction),
+    "sgsym": lambda s: _cut_coproduct("sgsym", s.image, Permutation),
+}
 
 
 # Compatible words, letter by letter: the library enumerates their codes.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import treehopf  # noqa: F401  (registers the algebras)
 from treehopf.algebra import (
+    ALGEBRAS,
     AlgebraTagError,
     FreeElement,
     TensorElement,
@@ -211,6 +213,42 @@ def test_json_coefficients_reject_everything_else(coeff):
     pair = {"algebra": "ho", "terms": [{"coeff": coeff, "left": "0", "right": ""}]}
     with pytest.raises(AlgebraTagError):
         tensor_from_json(pair)
+
+
+@pytest.mark.parametrize("payload", [
+    {"algebra": "ho", "basis": "S", "terms": 5},
+    {"algebra": 5, "basis": "S", "terms": []},
+    {"algebra": "ho", "basis": "S", "terms": [{"coeff": "1", "key": 5}]},
+    {"algebra": "ho", "basis": "S", "terms": [5]},
+    {"basis": "S", "terms": []},
+    [],
+])
+def test_element_json_of_the_wrong_shape_is_rejected(payload):
+    with pytest.raises(AlgebraTagError):
+        element_from_json(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"algebra": "ho", "terms": 5},
+    {"algebra": 5, "terms": []},
+    {"algebra": "ho", "terms": [{"coeff": "1", "left": 5, "right": ""}]},
+    {"algebra": "ho", "terms": [{"coeff": "1", "left": "0"}]},
+    {"algebra": "ho", "terms": [None]},
+    "ho",
+])
+def test_tensor_json_of_the_wrong_shape_is_rejected(payload):
+    with pytest.raises(AlgebraTagError):
+        tensor_from_json(payload)
+
+
+def test_registry_reads_keys_through_their_own_methods():
+    for tag, ops in ALGEBRAS.items():
+        fields = [f.name for f in dataclasses.fields(ops)]
+        assert fields == ["tag", "key_type", "keys_of_degree", "product", "coproduct", "default_basis"]
+        assert ops.unit_key == ops.key_type.parse("") and ops.unit_key.n == 0, tag
+        for d in range(4):
+            for key in ops.keys_of_degree(d):
+                assert ops.parse_key(key.render()) == key and key.n == d and key.sort_key()[0] == d, key
 
 
 def test_latex_rendering():

@@ -180,6 +180,42 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         "algebra": "ho", "basis": "S", "terms": [{"key": "0"}],
     })
     assert run(capsys, "coproduct", "--algebra", "ho", bad_term)[0] == 2
+    # an element must be written in its algebra's default basis
+    r_chain = write_element(tmp_path, "r.json", {
+        "algebra": "ho", "basis": "R", "terms": [{"coeff": "1", "key": "0 0"}],
+    })
+    code, out, err = run(capsys, "morphism", "--map", "pi", r_chain)
+    assert code == 2 and out == "" and "basis R, expected S" in err
+    assert run(capsys, "coproduct", "--algebra", "ho", r_chain)[0] == 2
+    m_chain = write_element(tmp_path, "m.json", {
+        "algebra": "ho", "basis": "M", "terms": [{"coeff": "1", "key": "0 0"}],
+    })
+    assert run(capsys, "coproduct", "--algebra", "ho", m_chain)[0] == 2
+    assert run(capsys, "morphism", "--map", "f_F", m_chain)[0] == 2
+    s_word = write_element(tmp_path, "s.json", {
+        "algebra": "wqsym", "basis": "S", "terms": [{"coeff": "1", "key": "1 1"}],
+    })
+    assert run(capsys, "coproduct", "--algebra", "wqsym", s_word)[0] == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"algebra": "ho", "basis": "S", "terms": 5},
+    {"algebra": 5, "basis": "S", "terms": []},
+    {"algebra": "ho", "basis": "S", "terms": [{"coeff": "1", "key": 5}]},
+])
+def test_element_json_of_the_wrong_shape_exits_2(capsys, tmp_path, payload):
+    x = write_element(tmp_path, "x.json", payload)
+    for argv in (("coproduct", "--algebra", "ho", x), ("morphism", "--map", "pi", x)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: bad element"), argv
+
+
+def test_wqsym_coproduct_takes_the_m_basis(capsys, tmp_path):
+    m_word = write_element(tmp_path, "m.json", {
+        "algebra": "wqsym", "basis": "M", "terms": [{"coeff": "1", "key": "1 1"}],
+    })
+    code, out, _ = run(capsys, "coproduct", "--algebra", "wqsym", m_word)
+    assert code == 0 and json.loads(out)["basis"] == "M" and len(json.loads(out)["terms"]) == 2
 
 
 def test_config_bound_is_respected(capsys, tmp_path):

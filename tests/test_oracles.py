@@ -1,11 +1,15 @@
 """The output-sensitive constructions against their brute-force oracles."""
 
+import json
 import random
 
 import pytest
 
 import oracles
+from treehopf.algebra import get_algebra
 from treehopf.bases import forest_down_set, r_product_endo, r_product_forest
+from treehopf.cli import main
+from treehopf.endo import ideals
 from treehopf.realization import (
     NCPolynomial,
     decode_word,
@@ -19,9 +23,14 @@ from treehopf.realization import (
 )
 from treehopf.structures import (
     EnumerationBoundError,
+    Endofunction,
     OrderedForest,
     PackedWord,
+    PlaneForest,
+    Permutation,
+    RootedForest,
     StructureError,
+    enumerate_admissible_cuts,
     enumerate_packed_words,
 )
 from treehopf.words import wqsym_product
@@ -68,6 +77,43 @@ def test_r_products_match_the_oracle_on_a_degree_5_sample():
         assert r_product_forest(a, b) == oracles.r_product_forest(a, b), (a, b)
     for a, b in rng.sample(pairs(oracles.endofunctions, 5), 12):
         assert r_product_endo(a, b) == oracles.r_product_endo(a, b), (a, b)
+
+
+@pytest.mark.parametrize("tag", sorted(oracles.COPRODUCTS))
+@pytest.mark.parametrize("n", range(6))
+def test_cut_coproducts_match_the_oracle(tag, n):
+    ops = get_algebra(tag)
+    for key in ops.keys_of_degree(n):
+        assert ops.coproduct(key) == oracles.COPRODUCTS[tag](key), key
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_ideals_and_cuts_match_the_oracle_in_order(n):
+    for f in oracles.endofunctions(n):
+        assert [i.members for i in ideals(f)] == oracles.closed_sets(f.image), f
+    for forest in oracles.ordered_forests(n):
+        assert [c.vertices for c in enumerate_admissible_cuts(forest)] == oracles.admissible_cuts(forest), forest
+
+
+NINE_VERTEX_KEYS = {
+    "ho": OrderedForest((0,) * 9),
+    "ck": RootedForest(" ".join(["()"] * 9)),
+    "nck": PlaneForest(((),) * 9),
+    "efsym": Endofunction(tuple(range(1, 10))),
+    "sgsym": Permutation(tuple(range(1, 10))),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(NINE_VERTEX_KEYS))
+def test_cut_coproducts_keep_the_enumeration_bound(tag, capsys, tmp_path):
+    key = NINE_VERTEX_KEYS[tag]
+    with pytest.raises(EnumerationBoundError, match="at size 9 exceeds bound 8"):
+        get_algebra(tag).coproduct(key)
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"algebra": tag, "basis": "S", "terms": [{"coeff": "1", "key": key.render()}]}))
+    code = main(["coproduct", "--algebra", tag, str(x)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "exceeds bound 8" in err
 
 
 def test_wqsym_product_and_pi_image_keep_the_enumeration_bound():
