@@ -6,6 +6,11 @@ moved points = smaller, identity on top).  R is the Mobius-inverted basis
 along each order.  The R product is multiplicity-free: its structure
 constants are restriction conditions on the interval blocks.
 
+The down-sets, up-sets and R products are products of per-vertex choices:
+forests through the acyclic parent-vector search of
+:mod:`treehopf.structures` (which skips the choices that close a cycle),
+endofunctions as a plain product of images.
+
 The two settings invert in opposite directions.  For forests, R_F sums
 over the down-set of F with edge-count signs.  For endofunctions, R_f sums
 over the up-set of f (all ways of fixing a subset of its moved points, with
@@ -27,6 +32,7 @@ from .structures import (
     EnumerationBoundError,
     OrderedForest,
     RootedForest,
+    acyclic_parent_vectors,
     canonicalize,
     plane_to_ordered,
 )
@@ -52,58 +58,15 @@ def forest_leq(f: OrderedForest, g: OrderedForest) -> bool:
     return set(g.edges()) <= set(f.edges())
 
 
-def _acyclic_parent_vectors(choices: list[tuple[int, ...]]) -> list[OrderedForest]:
-    """Every forest whose vertex v takes its parent from ``choices[v-1]``
-    (ascending, 0 for a root), lexicographic in the parent vector.
-
-    Single choices are fixed first; the other vertices are assigned in
-    increasing order, and a choice is skipped when the parent chain from it
-    already leads back to the vertex (a cycle closes at its last edge).
-    Making a vertex a root never closes a cycle, so no branch dead-ends.
-    """
-    parent: list[int | None] = [None] + [c[0] if len(c) == 1 else None for c in choices]
-    free = [v for v in range(1, len(choices) + 1) if parent[v] is None]
-    out: list[OrderedForest] = []
-
-    def closes_cycle(v: int, w: int | None) -> bool:
-        while w:  # stops at a root (0) or at a vertex not yet assigned
-            if w == v:
-                return True
-            w = parent[w]
-        return False
-
-    def extend(i: int):
-        if i == len(free):
-            out.append(OrderedForest(tuple(parent[1:])))  # type: ignore[arg-type]
-            return
-        v = free[i]
-        for w in choices[v - 1]:
-            if not closes_cycle(v, w):
-                parent[v] = w
-                extend(i + 1)
-        parent[v] = None
-
-    extend(0)
-    return out
-
-
 def forest_down_set(forest: OrderedForest) -> list[OrderedForest]:
     """All g <= forest, i.e. forests whose edge set extends the given one,
     lexicographic in the parent vector.
 
-    Every edge of the forest is kept; each root stays a root or is grafted
-    onto a vertex outside its own tree, and graftings that close a cycle
-    are skipped.
+    Every edge of the forest is kept and each root may take any parent; the
+    cycle skip rejects a root grafted onto its own tree.
     """
     _check_r_bound(forest.n, "forest R basis")
-    tree_of = {v: t for t, members in enumerate(forest.tree_vertex_sets()) for v in members}
-    choices = []
-    for v, p in enumerate(forest.parent, start=1):
-        if p:
-            choices.append((p,))
-        else:
-            choices.append((0,) + tuple(w for w in range(1, forest.n + 1) if tree_of[w] != tree_of[v]))
-    return _acyclic_parent_vectors(choices)
+    return acyclic_parent_vectors([(p,) if p else range(forest.n + 1) for p in forest.parent])
 
 
 def r_from_s_forest(forest: OrderedForest) -> FreeElement:
@@ -135,7 +98,7 @@ def r_product_forest(left: OrderedForest, right: OrderedForest) -> FreeElement:
     block2 = tuple(range(k1 + 1, k1 + k2 + 1))
     choices = [(p,) if p else (0,) + block2 for p in left.parent]
     choices += [(p + k1,) if p else (0,) + block1 for p in right.parent]
-    return FreeElement("ho", {f: 1 for f in _acyclic_parent_vectors(choices)})
+    return FreeElement("ho", {f: 1 for f in acyclic_parent_vectors(choices)})
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +141,16 @@ def endo_leq(f: Endofunction, g: Endofunction) -> bool:
     return all(g.image[k] in (f.image[k], k + 1) for k in range(f.n))
 
 
-def fix_subset(f: Endofunction, subset) -> Endofunction:
-    members = set(subset)
-    return Endofunction(tuple(v if v in members else f(v) for v in range(1, f.n + 1)))
-
-
 def endo_up_set(f: Endofunction) -> list[Endofunction]:
-    """All g >= f: fix any subset of the moved points of f."""
-    moved = f.moved_points()
-    out = []
-    for mask in range(1 << len(moved)):
-        chosen = [moved[i] for i in range(len(moved)) if mask >> i & 1]
-        out.append(fix_subset(f, chosen))
-    return out
+    """All g >= f, lexicographic: each moved point keeps its image or is fixed."""
+    choices = [tuple(sorted({fv, v})) for v, fv in enumerate(f.image, start=1)]
+    return [Endofunction(img) for img in itertools.product(*choices)]
 
 
 def r_from_s_endo(f: Endofunction) -> FreeElement:
     """R_f in the S basis: inclusion-exclusion over fixing moved points."""
-    terms: dict = {}
     base = f.num_fixed()
-    for g in endo_up_set(f):
-        terms[g] = terms.get(g, 0) + (-1) ** (g.num_fixed() - base)
-    return FreeElement("efsym", terms)
+    return FreeElement("efsym", {g: (-1) ** (g.num_fixed() - base) for g in endo_up_set(f)})
 
 
 def s_in_r_endo(f: Endofunction) -> FreeElement:

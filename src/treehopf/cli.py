@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
         "--suite",
-        choices=["coassoc", "compat", "antipode", "realization", "examples", "all"],
+        choices=[*verify.SUITES, "all"],
         required=True,
     )
     p.add_argument("--max-degree", type=int, default=3)

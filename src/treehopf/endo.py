@@ -4,11 +4,10 @@ The product is shifted concatenation; the coproduct sums over the ideals of
 the functional graph (subsets closed under preimages), standardizing both
 the ideal part and its complement, where escaping values become fixed: the
 cut rule of :mod:`treehopf.structures`, shared with the forests through f_F.
+Ideals are plain vertex sets (frozensets), listed by :func:`ideals`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .algebra import AlgebraOps, FreeElement, TensorElement, register_algebra
 from .structures import (
@@ -34,22 +33,10 @@ def shifted_concat(f: Endofunction, g: Endofunction) -> Endofunction:
     return Endofunction(f.image + tuple(v + shift for v in g.image))
 
 
-@dataclass(frozen=True)
-class IdealOfF:
-    """A subset I with f^{-1}(I) contained in I, for a fixed endofunction f."""
-
-    f: Endofunction
-    members: frozenset[int]
-
-    def __post_init__(self):
-        for j in range(1, self.f.n + 1):
-            if self.f(j) in self.members and j not in self.members:
-                raise StructureError(f"{sorted(self.members)} is not an ideal of {self.f.render()}")
-
-
-def ideals(f: Endofunction, bound: int | None = None) -> list[IdealOfF]:
-    """All ideals of f, in increasing bitmask order."""
-    return [IdealOfF(f, frozenset(mask_vertices(m))) for m in closed_subsets(f.image, bound, IDEALS)]
+def ideals(f: Endofunction, bound: int | None = None) -> list[frozenset[int]]:
+    """All ideals of f (subsets I with f^{-1}(I) inside I), in increasing
+    bitmask order."""
+    return [frozenset(mask_vertices(m)) for m in closed_subsets(f.image, bound, IDEALS)]
 
 
 def std_restrict(f: Endofunction, subset) -> Endofunction:

@@ -29,7 +29,6 @@ from .structures import (
     forest_from_image,
     forest_image,
     ordered_to_plane,
-    plane_to_ordered,
 )
 
 CUTS = "admissible cut enumeration"
@@ -70,7 +69,7 @@ def ck_product(left: RootedForest, right: RootedForest) -> RootedForest:
 
 def ck_coproduct(forest: RootedForest) -> TensorElement:
     """Cuts computed on any labelling; both factors canonicalized."""
-    image = forest_image(plane_to_ordered(forest.as_plane()))
+    image = forest_image(forest)
     return TensorElement("ck", cut_terms(image, lambda part: canonicalize(forest_from_image(part)), CUTS))
 
 
@@ -89,7 +88,7 @@ def nck_coproduct(forest: PlaneForest) -> TensorElement:
     plane forest standardizes to the image of a plane forest; readback fails
     loudly if that ever breaks.
     """
-    image = forest_image(plane_to_ordered(forest))
+    image = forest_image(forest)
     return TensorElement("nck", cut_terms(image, lambda part: ordered_to_plane(forest_from_image(part)), CUTS))
 
 

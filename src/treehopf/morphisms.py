@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import FreeElement, TensorElement, accumulate, product_elements, unit_element
+from .algebra import FreeElement, TensorElement, accumulate, coproduct_element, product_elements, unit_element
+from .endo import is_acyclic
 from .realization import pi_image, rank_of_rows
 from .structures import (
     Endofunction,
@@ -114,8 +115,6 @@ def forest_to_endo(forest: OrderedForest) -> Endofunction:
 
 def endo_to_forest(f: Endofunction) -> OrderedForest:
     """Inverse of forest_to_endo on acyclic endofunctions."""
-    from .endo import is_acyclic
-
     if not is_acyclic(f):
         raise StructureError(f"{f.render()} has a cycle of length >= 2")
     return forest_from_image(f.image)
@@ -186,8 +185,6 @@ def z_power_component(power: int, n: int) -> FreeElement:
 
 def check_faa_di_bruno(n: int) -> bool:
     """Delta(Z_n) = sum_k Z_k (x) (Z^{k+1})_{n-k}, exactly."""
-    from .algebra import coproduct_element
-
     lhs = coproduct_element(faa_di_bruno_z(n))
     rhs_terms: dict = {}
     for k in range(n + 1):

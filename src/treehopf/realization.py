@@ -13,9 +13,13 @@ Permutations use the unrestricted alphabet with loop letters (``perm``
 internally).  A word compatible with a structure chains the second subscript
 of each vertex's letter into the first subscript of its children's letters;
 the polynomial S^x is the sum of all compatible words with coefficient 1.
+Each regime reads the key as a map: f_F for forests, f for endofunctions,
+the inverse for permutations; a position's parent is its image, and the
+fixed points are the roots.
 
 Doubling replaces the alphabet by the disjoint union A + B: B letters can
-never sit below A letters, and where an A parent meets a B child the child's
+never sit below A letters, so the B positions are a closed set of the map,
+the Lea part of a cut; where an A parent meets a B child the child's
 letter restarts like a root's (loop for v2, free first subscript otherwise).
 Truncation is controlled by N: all subscripts lie in {1..N} ({0..N} for the
 first subscripts of v1 root letters).  Product and doubling identities are
@@ -47,6 +51,7 @@ from .structures import (
     StructureError,
     _check_bound,
     closed_subsets,
+    forest_image,
 )
 
 Letter = tuple[str, int, int]
@@ -194,8 +199,9 @@ class NCPolynomial:
 # own side of the alphabet.  An unlinked position restarts like a root: a
 # loop letter (v2), or a free first subscript below y_v (v1) or different
 # from it (func).  A linked pair is constrained by y_v > y_p (forests) or
-# y_v != y_p (func); permutations link every position to its preimage and
-# constrain nothing.
+# y_v != y_p (func); permutations link every moved position to its
+# preimage and constrain nothing, and a fixed point's loop letter is the
+# letter a link to itself would give.
 
 _REVERSED = {">": "<", "!=": "!="}
 
@@ -215,8 +221,7 @@ def _steps(
     for v in linked:
         p = parent[v - 1]
         coef[p] += k * weight[v]
-        if p != v:
-            kids[p].append(v)
+        kids[p].append(v)
     if root == "loop":
         for v in side:
             if parent[v - 1] not in weight:
@@ -292,19 +297,20 @@ def _assign(steps: list) -> list[int]:
     return groups.get((), [])
 
 
-def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, root: str):
-    """The ``words`` slot of a family: codes of S^x, or (mask, A-subword,
-    B-subword) triples over the doubled alphabet."""
+def _regime(image_of: Callable[[Any], Sequence[int]], relation: str | None, root: str):
+    """The ``words`` slot of a family whose keys are the maps ``image_of``:
+    codes of S^x, or (mask, A-subword, B-subword) triples over the doubled
+    alphabet.  Each position is linked to its image; fixed points are roots."""
 
     def side_words(parent: Sequence[int], side: Sequence[int], size: int) -> list[int]:
         return _assign(_steps(parent, side, relation, root, size))
 
-    def doubled_words(parent: Sequence[int], size: int) -> Iterator[tuple[int, int, int]]:
+    def doubled_words(image: Sequence[int], parent: Sequence[int], size: int) -> Iterator[tuple]:
         # No B letter sits above an A letter: the B positions form a closed
-        # set of the parent map.  The word count, not the size, bounds them.
-        image = tuple(p or v for v, p in enumerate(parent, start=1))
-        positions = range(1, len(parent) + 1)
-        for mask in closed_subsets(image, bound=len(parent)):
+        # set of the map, the Lea part of a cut.  The word count, not the
+        # size, bounds them.
+        positions = range(1, len(image) + 1)
+        for mask in closed_subsets(image, bound=len(image)):
             a_codes = side_words(parent, [v for v in positions if not mask >> (v - 1) & 1], size)
             b_codes = side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size)
             for b in b_codes:
@@ -313,10 +319,11 @@ def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, roo
 
     def words(key, size: int, doubled: bool = False) -> Iterable:
         _check_truncation(size)
-        parent = parent_of(key)
+        image = image_of(key)
+        parent = [0 if w == v else w for v, w in enumerate(image, start=1)]
         if doubled:
-            return doubled_words(parent, size)
-        return side_words(parent, range(1, len(parent) + 1), size)
+            return doubled_words(image, parent, size)
+        return side_words(parent, range(1, len(image) + 1), size)
 
     return words
 
@@ -410,16 +417,12 @@ class RealizationFamily(NamedTuple):
         return NCPolynomial.from_codes(terms, size)
 
 
-def _no_fixed_points(f: Endofunction) -> list[int]:
-    return [0 if fv == v else fv for v, fv in enumerate(f.image, start=1)]
-
-
 FAMILIES: dict[str, RealizationFamily] = {
     fam.version: fam
     for fam in (
-        RealizationFamily("v1", "ho", _regime(lambda f: f.parent, ">", "below")),
-        RealizationFamily("v2", "ho", _regime(lambda f: f.parent, ">", "loop")),
-        RealizationFamily("func", "efsym", _regime(_no_fixed_points, "!=", "different")),
+        RealizationFamily("v1", "ho", _regime(forest_image, ">", "below")),
+        RealizationFamily("v2", "ho", _regime(forest_image, ">", "loop")),
+        RealizationFamily("func", "efsym", _regime(lambda f: f.image, "!=", "different")),
         RealizationFamily("perm", "sgsym", _regime(lambda s: s.inverse().image, None, "loop")),
     )
 }

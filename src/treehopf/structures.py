@@ -18,8 +18,14 @@ Text formats (bit-exact):
   lexicographically sorted child forms + ``")"``, trees sorted
   lexicographically and space-separated.
 
-The five cut coproducts split a key along the preimage-closed vertex sets
-of its map, f_F for forests (:func:`cut_terms`).
+Every key is read as a map on {1..n}: an endofunction is its image vector,
+a forest its f_F (each vertex to its parent, each root to itself; plane and
+unlabelled forests through the depth-first labelling, :func:`forest_image`).
+The five cut coproducts split a key along the preimage-closed vertex sets of
+its map (:func:`cut_terms`), and the realization regimes link each position
+to its image.  Forests with prescribed parent choices (all forests, the
+down-sets and R products of :mod:`treehopf.bases`) come from one acyclic
+parent-vector search (:func:`acyclic_parent_vectors`).
 """
 
 from __future__ import annotations
@@ -124,16 +130,6 @@ class OrderedForest:
             p = self.parent[p - 1]
         return out
 
-    def tree_vertex_sets(self) -> list[set[int]]:
-        """Vertex sets of the trees, listed by increasing root label."""
-        comp = {}
-        for v in range(1, self.n + 1):
-            w = v
-            while self.parent[w - 1] != 0:
-                w = self.parent[w - 1]
-            comp.setdefault(w, set()).add(v)
-        return [comp[r] for r in sorted(comp)]
-
     def render(self) -> str:
         return " ".join(str(p) for p in self.parent)
 
@@ -167,38 +163,47 @@ def restrict_forest(forest: OrderedForest, vertices: Iterable[int]) -> OrderedFo
     return forest_from_image(restrict_image(forest_image(forest), keep))
 
 
-def enumerate_ordered_forests(n: int, bound: int | None = None) -> list[OrderedForest]:
-    """All ordered forests on {1..n}, lexicographic in the parent vector."""
-    _check_bound(n, bound, "ordered forest enumeration")
-    if n == 0:
-        return [OrderedForest(())]
-    out: list[OrderedForest] = []
-    parent = [0] * (n + 1)  # 1-based; parent[0] unused
+def acyclic_parent_vectors(choices: Sequence[Sequence[int]]) -> list[OrderedForest]:
+    """Every forest whose vertex v takes its parent from ``choices[v-1]``
+    (ascending, 0 for a root), lexicographic in the parent vector.
 
-    def closes_cycle(v: int, w: int) -> bool:
-        # Walk already-assigned parents from w.  A cycle closes at the moment
-        # its last edge is assigned, so checking "reaches v" here is complete.
-        while w != 0:
+    Single choices are fixed first; the other vertices are assigned in
+    increasing order, and a choice is skipped when the parent chain from it
+    already leads back to the vertex (a cycle closes at its last edge, and
+    a vertex offered as its own parent closes one at once).  Making a vertex
+    a root never closes a cycle, so no branch dead-ends.
+    """
+    parent: list[int | None] = [None] + [c[0] if len(c) == 1 else None for c in choices]
+    free = [v for v in range(1, len(choices) + 1) if parent[v] is None]
+    out: list[OrderedForest] = []
+
+    def closes_cycle(v: int, w: int | None) -> bool:
+        while w:  # stops at a root (0) or at a vertex not yet assigned
             if w == v:
                 return True
-            if w >= v:  # parent not assigned yet
-                return False
             w = parent[w]
         return False
 
-    def extend(v: int):
-        if v > n:
-            out.append(OrderedForest(tuple(parent[1:])))
+    def extend(i: int):
+        if i == len(free):
+            out.append(OrderedForest(tuple(parent[1:])))  # type: ignore[arg-type]
             return
-        for w in range(n + 1):
-            if w == v or closes_cycle(v, w):
-                continue
-            parent[v] = w
-            extend(v + 1)
-        parent[v] = 0
+        v = free[i]
+        for w in choices[v - 1]:
+            if not closes_cycle(v, w):
+                parent[v] = w
+                extend(i + 1)
+        parent[v] = None
 
-    extend(1)
+    extend(0)
     return out
+
+
+def enumerate_ordered_forests(n: int, bound: int | None = None) -> list[OrderedForest]:
+    """All ordered forests on {1..n}, lexicographic in the parent vector: the
+    down-set of the edgeless forest, where every vertex may take any parent."""
+    _check_bound(n, bound, "ordered forest enumeration")
+    return acyclic_parent_vectors([range(n + 1)] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +217,15 @@ def mask_vertices(mask: int) -> list[int]:
     return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
 
 
-def forest_image(forest: OrderedForest) -> tuple[int, ...]:
-    """f_F: each vertex goes to its parent, each root to itself."""
+def forest_image(forest: OrderedForest | PlaneForest | RootedForest) -> tuple[int, ...]:
+    """f_F: each vertex goes to its parent, each root to itself.
+
+    Plane and unlabelled forests are read through the depth-first labelling
+    of a plane representative (:func:`plane_to_ordered`); the cut rule only
+    needs some labelling, and the parts are read back into the key's kind.
+    """
+    if not isinstance(forest, OrderedForest):
+        forest = plane_to_ordered(forest.as_plane())
     return tuple(p or v for v, p in enumerate(forest.parent, start=1))
 
 
@@ -269,66 +281,19 @@ def cut_terms(image: Sequence[int], make, what: str) -> dict:
     return terms
 
 
-# ---------------------------------------------------------------------------
-# Admissible cuts
-# ---------------------------------------------------------------------------
+def enumerate_admissible_cuts(forest, bound: int | None = None) -> list[frozenset[int]]:
+    """All admissible cuts of an ordered, plane or unlabelled forest, in
+    increasing bitmask order.
 
-@dataclass(frozen=True)
-class AdmissibleCut:
-    """A totally disconnected vertex subset of a forest.
-
-    No member may lie on an oriented path to another member; validity against
-    a particular forest is checked by :func:`is_admissible`.
+    A cut is the set of lowest vertices of its Lea part, a closed set of f_F
+    (see :func:`forest_image` for the labelling of unlabelled forests).
     """
-
-    vertices: frozenset[int]
-
-    def sort_key(self):
-        return sorted(self.vertices)
-
-
-def is_admissible(forest: OrderedForest, cut: AdmissibleCut | Iterable[int]) -> bool:
-    members = cut.vertices if isinstance(cut, AdmissibleCut) else frozenset(cut)
-    if any(v < 1 or v > forest.n for v in members):
-        return False
-    return all(not (forest.ancestors(v) & members) for v in members)
-
-
-def enumerate_admissible_cuts(forest, bound: int | None = None) -> list[AdmissibleCut]:
-    """All admissible cuts of ``forest``, in increasing bitmask order.
-
-    A cut is the set of lowest vertices of its Lea part, a closed set of f_F.
-    Unlabelled forests are cut through the depth-first labelling of their
-    canonical form (cuts are vertex subsets, so the labelling only names them).
-    """
-    if not isinstance(forest, OrderedForest):
-        forest = plane_to_ordered(forest.as_plane())
     image = forest_image(forest)
     cuts = [
         sum(1 << (v - 1) for v in mask_vertices(lea) if image[v - 1] == v or not lea >> (image[v - 1] - 1) & 1)
         for lea in closed_subsets(image, bound, "admissible cut enumeration")
     ]
-    return [AdmissibleCut(frozenset(mask_vertices(cut))) for cut in sorted(cuts)]
-
-
-def lea_roo(forest, cut: AdmissibleCut | Iterable[int]):
-    """Split along an admissible cut; returns (Roo, Lea) of the input's kind.
-
-    Lea keeps the cut vertices and everything above them, Roo the rest; each
-    part keeps exactly its induced edges.  Ordered parts are re-standardized;
-    for an unlabelled forest the cut refers to the depth-first labelling of
-    its canonical form and both parts are canonicalized again.
-    """
-    if not isinstance(forest, OrderedForest):
-        labelled = plane_to_ordered(forest.as_plane())
-        roo, lea = lea_roo(labelled, cut)
-        return canonicalize(roo), canonicalize(lea)
-    members = cut.vertices if isinstance(cut, AdmissibleCut) else frozenset(cut)
-    if not is_admissible(forest, members):
-        raise StructureError(f"cut {sorted(members)} is not admissible")
-    vertices = set(range(1, forest.n + 1))
-    lea = {v for v in vertices if v in members or forest.ancestors(v) & members}
-    return restrict_forest(forest, vertices - lea), restrict_forest(forest, lea)
+    return [frozenset(mask_vertices(cut)) for cut in sorted(cuts)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +353,9 @@ class PlaneForest:
                 raise FormatError("each token must be a single tree", pos)
             trees.append(stack[0][0])
         return cls(tuple(trees))
+
+    def as_plane(self) -> "PlaneForest":
+        return self
 
     def sort_key(self):
         return (self.n, self.render())

@@ -9,6 +9,7 @@ print a term-level diff.
 from __future__ import annotations
 
 import json
+from functools import partial
 from importlib import resources
 from typing import Callable
 
@@ -31,27 +32,19 @@ Outcome = tuple[str, bool, str]
 CHECK_ALGEBRAS = ("ck", "nck", "ho", "wqsym", "sgsym", "efsym")
 
 
-def suite_coassoc(max_degree: int = 3) -> list[Outcome]:
+# suite name -> the check it runs on each algebra up to a degree
+AXIOM_CHECKS: dict[str, Callable] = {
+    "coassoc": check_coassociativity,
+    "compat": lambda tag, d: check_bialgebra_compat(tag, d, sample_degree=4),
+    "antipode": check_antipode,
+}
+
+
+def suite_axiom(name: str, max_degree: int = 3) -> list[Outcome]:
     out = []
     for tag in CHECK_ALGEBRAS:
-        rep = check_coassociativity(tag, max_degree)
-        out.append((f"coassoc[{tag}] deg<={max_degree}", rep.ok, rep.summary()))
-    return out
-
-
-def suite_compat(max_degree: int = 3, sample_degree: int | None = 4) -> list[Outcome]:
-    out = []
-    for tag in CHECK_ALGEBRAS:
-        rep = check_bialgebra_compat(tag, max_degree, sample_degree=sample_degree)
-        out.append((f"compat[{tag}] deg<={max_degree}", rep.ok, rep.summary()))
-    return out
-
-
-def suite_antipode(max_degree: int = 3) -> list[Outcome]:
-    out = []
-    for tag in CHECK_ALGEBRAS:
-        rep = check_antipode(tag, max_degree)
-        out.append((f"antipode[{tag}] deg<={max_degree}", rep.ok, rep.summary()))
+        rep = AXIOM_CHECKS[name](tag, max_degree)
+        out.append((f"{name}[{tag}] deg<={max_degree}", rep.ok, rep.summary()))
     return out
 
 
@@ -193,7 +186,7 @@ _REPLAY: dict[str, tuple[Callable[[dict], object], Callable[[object, object], st
     "plane_to_ordered": (lambda c: plane_to_ordered(PlaneForest.parse(c["key"])).render(), _quoted),
     "pi": (lambda c: element_to_json(pi_image(OrderedForest.parse(c["key"])))["terms"], _diff_terms),
     "forest_to_endo": (lambda c: morphisms.forest_to_endo(OrderedForest.parse(c["key"])).render(), _quoted),
-    "ideals": (lambda c: [sorted(i.members) for i in ideals(Endofunction.parse(c["key"]))], _plain),
+    "ideals": (lambda c: [sorted(i) for i in ideals(Endofunction.parse(c["key"]))], _plain),
     "r_from_s": (_r_from_s_terms, _diff_terms),
     "r_product": (_r_product_terms, _diff_terms),
     "r_commutative": (_r_commutative_terms, _diff_terms),
@@ -224,18 +217,13 @@ def suite_examples() -> list[Outcome]:
 
 
 SUITES: dict[str, Callable[[int], list[Outcome]]] = {
-    "coassoc": lambda d: suite_coassoc(d),
-    "compat": lambda d: suite_compat(d),
-    "antipode": lambda d: suite_antipode(d),
-    "realization": lambda d: suite_realization(d),
+    **{name: partial(suite_axiom, name) for name in AXIOM_CHECKS},
+    "realization": suite_realization,
     "examples": lambda d: suite_examples(),
 }
 
 
 def run_suite(name: str, max_degree: int = 3) -> list[Outcome]:
     if name == "all":
-        out = []
-        for key in ("coassoc", "compat", "antipode", "realization", "examples"):
-            out.extend(SUITES[key](max_degree))
-        return out
+        return [outcome for suite in SUITES.values() for outcome in suite(max_degree)]
     return SUITES[name](max_degree)

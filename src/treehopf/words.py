@@ -10,6 +10,8 @@ quotient map from ordered forests.
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import AlgebraOps, FreeElement, TensorElement, register_algebra
 from .structures import PackedWord, _check_bound, enumerate_packed_words, pack
 
@@ -75,14 +77,16 @@ def b_endomorphism(x: FreeElement) -> FreeElement:
 
 def wqsym_realize(x: FreeElement, size: int) -> dict[tuple[int, ...], int]:
     """Realization over the ordered alphabet a_1 < ... < a_size:
-    M_u = sum of words packing to u.  Words are tuples of letters."""
-    import itertools
+    M_u = sum of words packing to u.  Words are tuples of letters.
 
+    The words packing to u are alpha(u) for the strictly increasing maps
+    alpha: {1..max u} -> {1..size}, one per choice of max u letters.
+    """
     out: dict[tuple[int, ...], int] = {}
     for u, coeff in x.terms.items():
-        for word in itertools.product(range(1, size + 1), repeat=u.n):
-            if pack(word).letters == u.letters:
-                out[word] = out.get(word, 0) + coeff
+        for alpha in itertools.combinations(range(1, size + 1), u.max_letter()):
+            word = tuple(alpha[a - 1] for a in u.letters)
+            out[word] = out.get(word, 0) + coeff
     return {w: c for w, c in out.items() if c}
 
 

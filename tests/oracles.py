@@ -25,7 +25,6 @@ from treehopf.structures import (
     StructureError,
     canonicalize,
     enumerate_endofunctions,
-    enumerate_ordered_forests,
     ordered_to_plane,
     pack,
     plane_to_ordered,
@@ -49,7 +48,15 @@ def packed_words(n: int) -> tuple[PackedWord, ...]:
 
 @lru_cache(maxsize=None)
 def ordered_forests(n: int) -> tuple[OrderedForest, ...]:
-    return tuple(enumerate_ordered_forests(n))
+    """Every parent vector in {0..n}^n that ``OrderedForest`` accepts (no
+    self-parent, no cycle), in lexicographic order."""
+    out = []
+    for parent in itertools.product(range(n + 1), repeat=n):
+        try:
+            out.append(OrderedForest(parent))
+        except StructureError:
+            pass
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +73,25 @@ def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
         if pack(w.letters[:cut]) == u and pack(w.letters[cut:]) == v:
             terms[w] = 1
     return FreeElement("wqsym", terms)
+
+
+@lru_cache(maxsize=None)
+def _words_by_packing(n: int, size: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every word of length n over {1..size}, grouped by the packed word it
+    packs to, in lexicographic order."""
+    out: dict = {}
+    for word in itertools.product(range(1, size + 1), repeat=n):
+        out.setdefault(pack(word).letters, []).append(word)
+    return out
+
+
+def wqsym_realize(x: FreeElement, size: int) -> dict[tuple[int, ...], int]:
+    """M_u realized over a_1 < ... < a_size: the words that pack to u."""
+    out: dict[tuple[int, ...], int] = {}
+    for u, coeff in x.terms.items():
+        for word in _words_by_packing(u.n, size).get(u.letters, []):
+            out[word] = out.get(word, 0) + coeff
+    return {w: c for w, c in out.items() if c}
 
 
 def pi_image(forest: OrderedForest) -> FreeElement:

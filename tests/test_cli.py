@@ -260,8 +260,11 @@ def test_console_entry_point_runs():
 
 @pytest.mark.slow
 def test_verify_all_suite_passes(capsys):
+    # The full stdout, saved byte for byte from a known-good run.
+    expected = (Path(__file__).parent / "data" / "verify_all.txt").read_bytes()
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "3")
     assert code == 0 and "FAIL" not in out
+    assert out.encode() == expected
 
 
 def test_stdin_input(capsys, monkeypatch):

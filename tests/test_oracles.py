@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from treehopf.algebra import get_algebra
+from treehopf.algebra import FreeElement, get_algebra
 from treehopf.bases import forest_down_set, r_product_endo, r_product_forest
 from treehopf.cli import main
 from treehopf.endo import ideals
@@ -31,9 +31,10 @@ from treehopf.structures import (
     RootedForest,
     StructureError,
     enumerate_admissible_cuts,
+    enumerate_ordered_forests,
     enumerate_packed_words,
 )
-from treehopf.words import wqsym_product
+from treehopf.words import wqsym_product, wqsym_realize
 
 
 def pairs(keys, total):
@@ -43,6 +44,21 @@ def pairs(keys, total):
 def test_packed_words_match_the_oracle_in_order():
     for n in range(7):
         assert enumerate_packed_words(n) == list(oracles.packed_words(n)), n
+
+
+def test_ordered_forests_match_the_oracle_in_order():
+    for n in range(7):
+        assert enumerate_ordered_forests(n) == list(oracles.ordered_forests(n)), n
+
+
+def test_wqsym_realize_matches_the_oracle():
+    for n in range(6):
+        for u in oracles.packed_words(n):
+            x = FreeElement("wqsym", {u: 2})
+            for size in range(1, 6):
+                assert wqsym_realize(x, size) == oracles.wqsym_realize(x, size), (u, size)
+    x = FreeElement("wqsym", {PackedWord((1, 2)): 1, PackedWord((2, 1)): 1, PackedWord((1, 1)): 1})
+    assert wqsym_realize(x, 4) == oracles.wqsym_realize(x, 4)
 
 
 @pytest.mark.parametrize("total", range(6))
@@ -90,9 +106,9 @@ def test_cut_coproducts_match_the_oracle(tag, n):
 @pytest.mark.parametrize("n", range(6))
 def test_ideals_and_cuts_match_the_oracle_in_order(n):
     for f in oracles.endofunctions(n):
-        assert [i.members for i in ideals(f)] == oracles.closed_sets(f.image), f
+        assert ideals(f) == oracles.closed_sets(f.image), f
     for forest in oracles.ordered_forests(n):
-        assert [c.vertices for c in enumerate_admissible_cuts(forest)] == oracles.admissible_cuts(forest), forest
+        assert enumerate_admissible_cuts(forest) == oracles.admissible_cuts(forest), forest
 
 
 NINE_VERTEX_KEYS = {

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from treehopf.forests import ck_coproduct, ho_coproduct, nck_coproduct
 from treehopf.structures import (
     Endofunction,
     EnumerationBoundError,
@@ -18,8 +19,6 @@ from treehopf.structures import (
     enumerate_packed_words,
     enumerate_plane_forests,
     enumerate_rooted_forests,
-    is_admissible,
-    lea_roo,
     ordered_to_plane,
     pack,
     plane_to_ordered,
@@ -199,53 +198,54 @@ def test_admissible_cut_counts():
     assert len(cuts) == 3  # the two-element subset has a path inside it
     forked = OrderedForest.parse("4 0 2 2")
     assert len(enumerate_admissible_cuts(forked)) == 7
-    # same count through the unlabelled interface (one cut per coproduct term)
+    # same count through the unlabelled and plane interfaces (one cut per coproduct term)
     assert len(enumerate_admissible_cuts(RootedForest("((())())"))) == 7
+    assert len(enumerate_admissible_cuts(PlaneForest.parse("((())())"))) == 7
+
+
+def test_nck_cuts_are_the_cuts_of_the_depth_first_labelling():
+    for n in range(7):
+        for plane in enumerate_plane_forests(n):
+            cuts = enumerate_admissible_cuts(plane)
+            assert cuts == enumerate_admissible_cuts(plane_to_ordered(plane)), plane
+            assert len(cuts) == sum(nck_coproduct(plane).terms.values()), plane
 
 
 def test_lea_roo_on_unlabelled_forests():
+    # Roo (x) Lea terms of the ck coproduct of ((())()), whose depth-first
+    # labelling is 0 1 2 1: cutting nothing, the root, vertex 3 and vertex 2.
     tree = RootedForest("((())())")
     empty = RootedForest("")
-    assert lea_roo(tree, ()) == (tree, empty)
-    assert lea_roo(tree, {1}) == (empty, tree)
-    # depth-first labelling of the canonical form is 0 1 2 1
-    assert lea_roo(tree, {3}) == (RootedForest("(()())"), RootedForest("()"))
-    assert lea_roo(tree, {2}) == (RootedForest("(())"), RootedForest("(())"))
+    terms = ck_coproduct(tree).terms
+    assert terms[tree, empty] == 1
+    assert terms[empty, tree] == 1
+    assert terms[RootedForest("(()())"), RootedForest("()")] == 1
+    assert terms[RootedForest("(())"), RootedForest("(())")] == 1
 
 
 def test_lea_roo_examples():
-    single = OrderedForest((0,))
-    roo, lea = lea_roo(single, {1})
-    assert roo == OrderedForest(()) and lea == single
-
-    forked = OrderedForest.parse("4 0 2 2")
-    roo, lea = lea_roo(forked, {1})
-    assert roo == OrderedForest.parse("0 1 1") and lea == OrderedForest((0,))
-
-    chain3 = OrderedForest.parse("0 1 2")  # 3 -> 2 -> 1, root 1
-    roo, lea = lea_roo(chain3, {2})
-    assert roo == OrderedForest((0,)) and lea == OrderedForest.parse("0 1")
+    # Roo (x) Lea terms of the ho coproduct: cutting the single vertex, the
+    # leaf 1 of 4 0 2 2, and the middle vertex of the chain 0 1 2.
+    for forest, roo, lea in [("0", "", "0"), ("4 0 2 2", "0 1 1", "0"), ("0 1 2", "0", "0 1")]:
+        terms = ho_coproduct(OrderedForest.parse(forest)).terms
+        assert terms[OrderedForest.parse(roo), OrderedForest.parse(lea)] == 1, forest
 
 
 def test_lea_roo_partitions_and_keeps_induced_edges():
+    # Lea is a cut with everything above it and Roo the rest; restricting
+    # the forest to both parts keeps exactly the edges that do not cross, and
+    # the pairs, one per admissible cut, are the terms of the coproduct.
     for forest in enumerate_ordered_forests(4):
+        vertices = set(range(1, forest.n + 1))
+        terms: dict = {}
         for cut in enumerate_admissible_cuts(forest):
-            roo, lea = lea_roo(forest, cut)
+            lea_set = {v for v in vertices if v in cut or forest.ancestors(v) & cut}
+            roo, lea = restrict_forest(forest, vertices - lea_set), restrict_forest(forest, lea_set)
             assert roo.n + lea.n == forest.n
-            lea_set = {
-                v
-                for v in range(1, forest.n + 1)
-                if v in cut.vertices or forest.ancestors(v) & cut.vertices
-            }
-            kept = len([e for e in forest.edges() if (e[0] in lea_set) == (e[1] in lea_set)])
-            assert len(roo.edges()) + len(lea.edges()) == kept
-
-
-def test_non_admissible_cut_raises():
-    chain2 = OrderedForest((0, 1))
-    assert not is_admissible(chain2, {1, 2})
-    with pytest.raises(StructureError):
-        lea_roo(chain2, {1, 2})
+            kept = [e for e in forest.edges() if (e[0] in lea_set) == (e[1] in lea_set)]
+            assert len(roo.edges()) + len(lea.edges()) == len(kept)
+            terms[roo, lea] = terms.get((roo, lea), 0) + 1
+        assert ho_coproduct(forest).terms == terms, forest
 
 
 def test_restrict_forest_examples():
