@@ -162,14 +162,16 @@ def counit(x: FreeElement) -> int:
 # Linear extensions
 # ---------------------------------------------------------------------------
 
-def product_elements(x: FreeElement, y: FreeElement) -> FreeElement:
+def product_elements(x: FreeElement, y: FreeElement, rule: Callable | None = None) -> FreeElement:
+    """Bilinear extension of the key product ``rule`` (the algebra's own
+    product by default)."""
     if x.algebra != y.algebra:
         raise AlgebraTagError(f"cannot multiply {x.algebra} by {y.algebra}")
-    ops = get_algebra(x.algebra)
+    rule = rule or get_algebra(x.algebra).product
     out: dict = {}
     for a, ca in x.terms.items():
         for b, cb in y.terms.items():
-            accumulate(out, ops.product(a, b).terms, ca * cb)
+            accumulate(out, rule(a, b).terms, ca * cb)
     return FreeElement(x.algebra, out)
 
 
@@ -246,17 +248,15 @@ def check_coassociativity(tag: str, max_degree: int) -> CheckReport:
     return report
 
 
-def check_bialgebra_compat(
-    tag: str,
-    max_degree: int,
-    sample_degree: int | None = None,
-    sample_count: int = 200,
-    seed: int = 0,
-) -> CheckReport:
+COMPAT_SAMPLE_COUNT = 200
+
+
+def check_bialgebra_compat(tag: str, max_degree: int, sample_degree: int | None = None) -> CheckReport:
     """Delta(xy) = Delta(x)Delta(y) on all key pairs of total degree <= max_degree.
 
-    If ``sample_degree`` is given, additionally checks a deterministic random
-    sample of pairs with that total degree (all of them if fewer exist).
+    If ``sample_degree`` is given, additionally checks COMPAT_SAMPLE_COUNT
+    pairs with that total degree, drawn with seed 0 (all of them if fewer
+    exist).
     """
     ops = get_algebra(tag)
     report = CheckReport("bialgebra-compat", ops.tag)
@@ -277,8 +277,8 @@ def check_bialgebra_compat(
                     check_pair(a, b)
     if sample_degree is not None:
         pairs = [(a, b) for da in range(sample_degree + 1) for a in keys[da] for b in keys[sample_degree - da]]
-        if len(pairs) > sample_count:
-            pairs = random.Random(seed).sample(pairs, sample_count)
+        if len(pairs) > COMPAT_SAMPLE_COUNT:
+            pairs = random.Random(0).sample(pairs, COMPAT_SAMPLE_COUNT)
         for a, b in pairs:
             check_pair(a, b)
     return report
@@ -407,10 +407,10 @@ def tensor_from_json(data: dict) -> TensorElement:
     return TensorElement(ops.tag, terms)
 
 
-def element_to_latex(x: FreeElement) -> str:
-    """Best-effort LaTeX: basis keys rendered by their text form, not pictures."""
-    ops = get_algebra(x.algebra)
-    letter = {"wqsym": "M"}.get(ops.tag, "S")
+def element_to_latex(x: FreeElement, basis: str | None = None) -> str:
+    """Best-effort LaTeX: basis keys rendered by their text form, not pictures,
+    under the letter of ``basis`` (the algebra's default basis if None)."""
+    letter = basis or get_algebra(x.algebra).default_basis
     bits = []
     for key, coeff in sorted(x.terms.items(), key=lambda kv: kv[0].sort_key()):
         body = f"{letter}^{{({key.render()})}}"

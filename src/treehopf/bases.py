@@ -25,7 +25,7 @@ import itertools
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .algebra import FreeElement, accumulate
+from .algebra import AlgebraTagError, FreeElement, accumulate
 from .endo import is_acyclic
 from .structures import (
     Endofunction,
@@ -209,8 +209,8 @@ class RBasis(NamedTuple):
 
 R_BASES: dict[str, RBasis] = {
     "ho": RBasis(r_from_s_forest, s_in_r_forest, r_product_forest),
-    "efsym": RBasis(r_from_s_endo, s_in_r_endo, r_product_endo),
     "ck": RBasis(r_commutative, ck_s_in_r, None),
+    "efsym": RBasis(r_from_s_endo, s_in_r_endo, r_product_endo),
 }
 
 
@@ -218,14 +218,14 @@ def _r_basis(tag: str) -> RBasis:
     try:
         return R_BASES[tag]
     except KeyError:
-        raise EnumerationBoundError(f"no R basis for algebra {tag!r}") from None
+        raise AlgebraTagError(f"no R basis for algebra {tag!r}") from None
 
 
 def to_s_basis(x: FreeElement) -> FreeElement:
-    """Rewrite an R-basis element in the S basis (ho, efsym or ck)."""
+    """Rewrite an R-basis element in the S basis (ho, ck or efsym)."""
     return x.map_keys(_r_basis(x.algebra).r_from_s)
 
 
 def to_r_basis(x: FreeElement) -> FreeElement:
-    """Rewrite an S-basis element in the R basis (ho, efsym or ck)."""
+    """Rewrite an S-basis element in the R basis (ho, ck or efsym)."""
     return x.map_keys(_r_basis(x.algebra).s_in_r)

@@ -11,19 +11,19 @@ import argparse
 import json
 import sys
 
-from . import bases, morphisms, verify
+from . import bases, verify
 from .algebra import (
     AlgebraTagError,
     FreeElement,
-    accumulate,
+    coproduct_element,
     element_from_json,
     element_to_json,
     element_to_latex,
     get_algebra,
     product_elements,
-    coproduct_element,
     tensor_to_json,
 )
+from .morphisms import MAPS
 from .realization import family, polynomial_to_json
 from .structures import EnumerationBoundError, FormatError, StructureError
 
@@ -52,19 +52,21 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _read_element(path: str) -> tuple[FreeElement, str]:
+def _read_element(path: str, algebra: str | None, basis: str | None = None) -> FreeElement:
+    """The element in ``path`` (``-`` for stdin), tagged ``algebra`` (any
+    tag if None) and written in ``basis`` (its algebra's default if None)."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
-    return element_from_json(json.loads(text))
-
-
-def _require_default_basis(x: FreeElement, basis: str) -> None:
-    expected = get_algebra(x.algebra).default_basis
-    if basis != expected:
-        raise UsageError(f"{x.algebra} element carries basis {basis}, expected {expected}")
+    x, found = element_from_json(json.loads(text))
+    if algebra is not None and x.algebra != algebra:
+        raise UsageError(f"element is tagged {x.algebra}, not {algebra}")
+    expected = basis or get_algebra(x.algebra).default_basis
+    if found != expected:
+        raise UsageError(f"{x.algebra} element carries basis {found}, expected {expected}")
+    return x
 
 
 def _emit(payload: dict) -> None:
@@ -72,49 +74,34 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _emit_element(x: FreeElement, basis: str, fmt: str) -> None:
+def _emit_element(x: FreeElement, basis: str | None, fmt: str) -> None:
     if fmt == "latex":
-        sys.stdout.write(element_to_latex(x) + "\n")
+        sys.stdout.write(element_to_latex(x, basis) + "\n")
     else:
         _emit(element_to_json(x, basis=basis))
 
 
-def cmd_product(args) -> int:
-    x, bx = _read_element(args.x)
-    y, by = _read_element(args.y)
-    if x.algebra != args.algebra or y.algebra != args.algebra:
-        raise UsageError(f"elements are tagged {x.algebra}/{y.algebra}, not {args.algebra}")
-    if {bx, by} - {args.basis}:
-        raise UsageError(f"inputs carry basis {bx}/{by}, expected {args.basis}")
-    if args.basis == "R":
+def cmd_product(args, config: dict) -> int:
+    basis = "R" if args.basis == "R" else None
+    x = _read_element(args.x, args.algebra, basis)
+    y = _read_element(args.y, args.algebra, basis)
+    rule = None
+    if basis == "R":
         r_basis = bases.R_BASES.get(args.algebra)
         if r_basis is None or r_basis.r_product is None:
             raise UsageError("R-basis products are available for ho and efsym")
-        out: dict = {}
-        for a, ca in x.terms.items():
-            for b, cb in y.terms.items():
-                accumulate(out, r_basis.r_product(a, b).terms, ca * cb)
-        _emit_element(FreeElement(args.algebra, out), "R", args.format)
-    else:
-        _emit_element(product_elements(x, y), get_algebra(args.algebra).default_basis, args.format)
+        rule = r_basis.r_product
+    _emit_element(product_elements(x, y, rule), basis, args.format)
     return 0
 
 
-def cmd_coproduct(args) -> int:
-    x, basis = _read_element(args.x)
-    if x.algebra != args.algebra:
-        raise UsageError(f"element is tagged {x.algebra}, not {args.algebra}")
-    _require_default_basis(x, basis)
-    _emit(tensor_to_json(coproduct_element(x)))
+def cmd_coproduct(args, config: dict) -> int:
+    _emit(tensor_to_json(coproduct_element(_read_element(args.x, args.algebra))))
     return 0
 
 
-def cmd_basis_change(args) -> int:
-    x, basis = _read_element(args.x)
-    if x.algebra != args.algebra:
-        raise UsageError(f"element is tagged {x.algebra}, not {args.algebra}")
-    if basis != args.src:
-        raise UsageError(f"element carries basis {basis}, --from says {args.src}")
+def cmd_basis_change(args, config: dict) -> int:
+    x = _read_element(args.x, args.algebra, args.src)
     if args.src == args.dst:
         raise UsageError("--from and --to must differ")
     out = bases.to_r_basis(x) if args.dst == "R" else bases.to_s_basis(x)
@@ -132,39 +119,20 @@ def cmd_realize(args, config: dict) -> int:
     return 0
 
 
-def cmd_morphism(args) -> int:
-    x, basis = _read_element(args.x)
-    _require_default_basis(x, basis)
-    if args.map == "pi":
-        out, basis = morphisms.pi_hopf(x), "M"
-    elif args.map == "f_F":
-        out = x.map_keys(morphisms.forest_to_endo, algebra="efsym")
-        basis = "S"
-    elif args.map == "ck":
-        out, basis = morphisms.ck_projection(x), "S"
-    elif args.map == "plane":
-        if x.algebra != "nck":
-            raise UsageError("--map plane expects an nck element")
-        out = x.map_keys(morphisms.plane_to_ordered, algebra="ho")
-        basis = "S"
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown map {args.map}")
-    _emit_element(out, basis, args.format)
+def cmd_morphism(args, config: dict) -> int:
+    _emit_element(MAPS[args.map].apply(_read_element(args.x, None)), None, args.format)
     return 0
 
 
 def cmd_dims(args, config: dict) -> int:
     ops = get_algebra(args.algebra)
     bound = config.get("enumeration_bound")
-    counts = []
-    for n in range(args.max_degree + 1):
-        keys = ops.keys_of_degree(n) if bound is None else ops.keys_of_degree(n, bound)
-        counts.append(str(len(keys)))
+    counts = [str(len(ops.keys_of_degree(n, bound))) for n in range(args.max_degree + 1)]
     sys.stdout.write(" ".join(counts) + "\n")
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, config: dict) -> int:
     outcomes = verify.run_suite(args.suite, args.max_degree)
     failures = 0
     for label, ok, detail in outcomes:
@@ -173,6 +141,18 @@ def cmd_verify(args) -> int:
         failures += 0 if ok else 1
     sys.stdout.write(f"{len(outcomes) - failures}/{len(outcomes)} checks passed\n")
     return 0 if failures == 0 else 1
+
+
+# subcommand -> handler; each takes the parsed arguments and the --config dict
+COMMANDS = {
+    "product": cmd_product,
+    "coproduct": cmd_coproduct,
+    "basis-change": cmd_basis_change,
+    "realize": cmd_realize,
+    "morphism": cmd_morphism,
+    "dims": cmd_dims,
+    "verify": cmd_verify,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis-change", help="rewrite between the S and R bases")
     p.add_argument("--from", dest="src", choices=["S", "R"], required=True)
     p.add_argument("--to", dest="dst", choices=["S", "R"], required=True)
-    p.add_argument("--algebra", choices=["ho", "ck", "efsym"], required=True)
+    p.add_argument("--algebra", choices=list(bases.R_BASES), required=True)
     p.add_argument("--format", choices=["json", "latex"], default="json")
     p.add_argument("x")
 
@@ -207,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", required=True, help="text form of the forest or endofunction")
 
     p = sub.add_parser("morphism", help="apply a named map to an element")
-    p.add_argument("--map", choices=["pi", "f_F", "ck", "plane"], required=True)
+    p.add_argument("--map", choices=list(MAPS), required=True)
     p.add_argument("--format", choices=["json", "latex"], default="json")
     p.add_argument("x")
 
@@ -230,21 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        if args.command == "product":
-            return cmd_product(args)
-        if args.command == "coproduct":
-            return cmd_coproduct(args)
-        if args.command == "basis-change":
-            return cmd_basis_change(args)
-        if args.command == "realize":
-            return cmd_realize(args, config)
-        if args.command == "morphism":
-            return cmd_morphism(args)
-        if args.command == "dims":
-            return cmd_dims(args, config)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise UsageError(f"unknown command {args.command}")  # pragma: no cover
+        return COMMANDS[args.command](args, config)
     except (UsageError, FormatError, StructureError, AlgebraTagError, EnumerationBoundError,
             json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -5,12 +5,19 @@ and its shadow b on packed words, the quotient map pi onto WQSym with its
 preimage construction F_w, the embedding of ordered forests into
 endofunctions, the projection onto the commutative forest algebra, and the
 noncommutative Faa di Bruno element Z = U^2.
+
+``MAPS`` names the maps between algebras: ``pi`` (ho -> wqsym), ``f_F``
+(ho -> efsym), ``ck`` (ho -> ck) and ``plane`` (nck -> ho), each a
+:class:`Morphism` whose ``apply`` is the linear extension of its key map.
+An element of any other algebra raises ``StructureError``; the output is
+in the target's default basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .algebra import FreeElement, TensorElement, accumulate, coproduct_element, product_elements, unit_element
 from .endo import is_acyclic
@@ -37,6 +44,8 @@ __all__ = [
     "plane_to_ordered",
     "ordered_to_plane",
     "b_plus",
+    "MAPS",
+    "Morphism",
     "pi_hopf",
     "f_w_preimage",
     "forest_to_endo",
@@ -63,13 +72,6 @@ def b_plus(x):
     if isinstance(x, PlaneForest):
         return PlaneForest((x.trees,))
     raise StructureError(f"b_plus applies to forests, not {type(x).__name__}")
-
-
-def pi_hopf(x: FreeElement) -> FreeElement:
-    """Linear extension of pi; a Hopf algebra quotient map ho -> wqsym."""
-    if x.algebra != "ho":
-        raise StructureError("pi is defined on the ordered forest algebra")
-    return x.map_keys(pi_image, algebra="wqsym")
 
 
 def minimal_admissible_word(forest: OrderedForest) -> PackedWord:
@@ -144,13 +146,36 @@ def plane_to_parking(plane: PlaneForest) -> Endofunction:
 
 
 # ---------------------------------------------------------------------------
-# Projection onto the commutative forest algebra
+# The maps between algebras, by name
 # ---------------------------------------------------------------------------
 
-def ck_projection(x: FreeElement) -> FreeElement:
-    if x.algebra != "ho":
-        raise StructureError("the projection is defined on the ordered forest algebra")
-    return x.map_keys(canonicalize, algebra="ck")
+class Morphism(NamedTuple):
+    """The linear map ``source -> target`` extending ``key_map``, which
+    sends a source key to a target key or element."""
+
+    name: str
+    source: str
+    target: str
+    key_map: Callable
+
+    def apply(self, x: FreeElement) -> FreeElement:
+        if x.algebra != self.source:
+            raise StructureError(f"{self.name} maps {self.source} elements, not {x.algebra}")
+        return x.map_keys(self.key_map, algebra=self.target)
+
+
+MAPS: dict[str, Morphism] = {
+    m.name: m
+    for m in (
+        Morphism("pi", "ho", "wqsym", pi_image),
+        Morphism("f_F", "ho", "efsym", forest_to_endo),
+        Morphism("ck", "ho", "ck", canonicalize),
+        Morphism("plane", "nck", "ho", plane_to_ordered),
+    )
+}
+
+pi_hopf = MAPS["pi"].apply  # the Hopf algebra quotient map onto WQSym
+ck_projection = MAPS["ck"].apply  # the projection onto the commutative algebra
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 DEFAULT_ENUMERATION_BOUND = 8
 
@@ -121,15 +121,6 @@ class OrderedForest:
             kids[p].append(v)
         return kids
 
-    def ancestors(self, v: int) -> set[int]:
-        """Strict ancestors of v (the vertices v eventually points down to)."""
-        out = set()
-        p = self.parent[v - 1]
-        while p != 0:
-            out.add(p)
-            p = self.parent[p - 1]
-        return out
-
     def render(self) -> str:
         return " ".join(str(p) for p in self.parent)
 
@@ -149,18 +140,6 @@ def relabel_forest(forest: OrderedForest, new_label: dict[int, int]) -> OrderedF
         p = forest.parent[v - 1]
         parent[new_label[v] - 1] = 0 if p == 0 else new_label[p]
     return OrderedForest(tuple(parent))
-
-
-def restrict_forest(forest: OrderedForest, vertices: Iterable[int]) -> OrderedForest:
-    """Induced subforest on ``vertices``, re-standardized to {1..k}.
-
-    Keeps exactly the edges with both endpoints in ``vertices``; the unique
-    increasing bijection onto {1..k} renames the survivors.
-    """
-    keep = sorted(set(vertices))
-    if any(v < 1 or v > forest.n for v in keep):
-        raise StructureError(f"restriction set {keep} not a subset of the vertex set")
-    return forest_from_image(restrict_image(forest_image(forest), keep))
 
 
 def acyclic_parent_vectors(choices: Sequence[Sequence[int]]) -> list[OrderedForest]:
@@ -502,9 +481,6 @@ class Endofunction:
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if self.image[v - 1] == v)
-
-    def moved_points(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self.image[v - 1] != v)
 
     def num_fixed(self) -> int:
         return len(self.fixed_points())

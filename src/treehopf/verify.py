@@ -77,7 +77,11 @@ def doubling_transport_ok(version: str, key, size: int) -> bool:
     return grouped == expected
 
 
-def suite_realization(max_degree: int = 3, size: int = 8) -> list[Outcome]:
+# truncation N of the product and doubling checks
+REALIZATION_SIZE = 8
+
+
+def suite_realization(max_degree: int = 3) -> list[Outcome]:
     out = []
     for version, fam in FAMILIES.items():
         keys = [fam.ops.keys_of_degree(d) for d in range(max_degree + 1)]
@@ -88,11 +92,11 @@ def suite_realization(max_degree: int = 3, size: int = 8) -> list[Outcome]:
                 for a in keys[d1]:
                     for b in keys[total - d1]:
                         checked += 1
-                        if not multiplicativity_ok(version, a, b, size):
+                        if not multiplicativity_ok(version, a, b, REALIZATION_SIZE):
                             bad.append((a, b))
         out.append(
             (
-                f"realize-product[{version}] deg<={max_degree} N={size}",
+                f"realize-product[{version}] deg<={max_degree} N={REALIZATION_SIZE}",
                 not bad,
                 f"{checked} pairs, {len(bad)} failures",
             )
@@ -102,11 +106,11 @@ def suite_realization(max_degree: int = 3, size: int = 8) -> list[Outcome]:
         for d in range(max_degree + 1):
             for key in keys[d]:
                 checked2 += 1
-                if not doubling_transport_ok(version, key, size):
+                if not doubling_transport_ok(version, key, REALIZATION_SIZE):
                     bad2.append(key)
         out.append(
             (
-                f"realize-doubling[{version}] deg<={max_degree} N={size}",
+                f"realize-doubling[{version}] deg<={max_degree} N={REALIZATION_SIZE}",
                 not bad2,
                 f"{checked2} keys, {len(bad2)} failures",
             )

@@ -28,7 +28,6 @@ from treehopf.structures import (
     ordered_to_plane,
     pack,
     plane_to_ordered,
-    restrict_forest,
 )
 
 
@@ -154,7 +153,7 @@ def admissible_cuts(forest: OrderedForest) -> list[frozenset[int]]:
     out = []
     for mask in range(1 << n):
         members = frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
-        if not any(forest.ancestors(v) & members for v in members):
+        if not any(ancestors(forest, v) & members for v in members):
             out.append(members)
     return out
 
@@ -182,6 +181,29 @@ def _parent_map(forest: OrderedForest) -> tuple[int, ...]:
 
 def _forest(image: tuple[int, ...]) -> OrderedForest:
     return OrderedForest(tuple(0 if w == v else w for v, w in enumerate(image, start=1)))
+
+
+def ancestors(forest: OrderedForest, v: int) -> set[int]:
+    """Strict ancestors of v (the vertices v eventually points down to)."""
+    out = set()
+    p = forest.parent[v - 1]
+    while p != 0:
+        out.add(p)
+        p = forest.parent[p - 1]
+    return out
+
+
+def moved_points(f: Endofunction) -> tuple[int, ...]:
+    return tuple(v for v in range(1, f.n + 1) if f(v) != v)
+
+
+def restrict_forest(forest: OrderedForest, vertices: Iterable[int]) -> OrderedForest:
+    """Induced subforest on ``vertices``, re-standardized to {1..k}: the
+    edges with both endpoints kept, survivors renamed in increasing order."""
+    keep = sorted(set(vertices))
+    if any(v < 1 or v > forest.n for v in keep):
+        raise StructureError(f"restriction set {keep} not a subset of the vertex set")
+    return _forest(_restrict(_parent_map(forest), keep))
 
 
 COPRODUCTS = {

@@ -106,7 +106,7 @@ def test_criterion_2_worked_example_replay():
 def test_criterion_3_hopf_axioms():
     for tag in ALGEBRAS:
         assert check_coassociativity(tag, 3).ok, tag
-        assert check_bialgebra_compat(tag, 3, sample_degree=4, sample_count=200).ok, tag
+        assert check_bialgebra_compat(tag, 3, sample_degree=4).ok, tag
         assert check_antipode(tag, 3).ok, tag
 
 

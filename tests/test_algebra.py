@@ -23,7 +23,7 @@ from treehopf.algebra import (
     tensor_from_json,
     unit_element,
 )
-from treehopf.structures import OrderedForest, RootedForest, enumerate_ordered_forests
+from treehopf.structures import OrderedForest, PackedWord, RootedForest, enumerate_ordered_forests
 
 KEYS = enumerate_ordered_forests(2) + enumerate_ordered_forests(1)
 
@@ -254,6 +254,8 @@ def test_registry_reads_keys_through_their_own_methods():
 def test_latex_rendering():
     x = FreeElement("ho", {OrderedForest.parse("0 1"): -2, OrderedForest.parse("0 0"): 1})
     assert element_to_latex(x) == "S^{(0 0)}-2\\,S^{(0 1)}"
+    assert element_to_latex(x, "R") == "R^{(0 0)}-2\\,R^{(0 1)}"
+    assert element_to_latex(FreeElement("wqsym", {PackedWord((1, 1)): 3})) == "3\\,M^{(1 1)}"
 
 
 def test_wqsym_default_basis_is_m():

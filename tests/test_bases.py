@@ -1,6 +1,7 @@
 import pytest
 
-from treehopf.algebra import FreeElement, product_elements
+from oracles import moved_points
+from treehopf.algebra import AlgebraTagError, FreeElement, product_elements
 from treehopf.bases import (
     ck_s_in_r,
     endo_leq,
@@ -24,6 +25,7 @@ from treehopf.structures import (
     Endofunction,
     EnumerationBoundError,
     OrderedForest,
+    PlaneForest,
     RootedForest,
     canonicalize,
     enumerate_endofunctions,
@@ -113,7 +115,7 @@ def test_endo_signs_agree_with_edge_count_signs_on_acyclic_keys():
             f = forest_to_endo(forest)
             for g, coeff in r_from_s_endo(f).terms.items():
                 assert is_acyclic(g)
-                edges_of_g = len(g.moved_points())
+                edges_of_g = len(moved_points(g))
                 assert coeff == (-1) ** (len(forest.edges()) - edges_of_g)
 
 
@@ -229,6 +231,13 @@ def test_basis_change_roundtrip(algebra, keys):
         x = FreeElement(algebra, {key: 1})
         assert to_s_basis(to_r_basis(x)) == x
         assert to_r_basis(to_s_basis(x)) == x
+
+
+@pytest.mark.parametrize("rewrite", [to_r_basis, to_s_basis])
+def test_basis_change_needs_an_algebra_with_an_r_basis(rewrite):
+    x = FreeElement("nck", {PlaneForest.parse("(())"): 1})
+    with pytest.raises(AlgebraTagError, match="no R basis for algebra 'nck'"):
+        rewrite(x)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from treehopf.algebra import (
+    ALGEBRAS,
+    FreeElement,
+    element_from_json,
+    element_to_json,
+    get_algebra,
+    product_elements,
+)
 from treehopf.cli import main
+from treehopf.morphisms import MAPS
 
 
 def run(capsys, *argv):
@@ -116,6 +125,65 @@ def test_latex_format(capsys, tmp_path):
     x = write_element(tmp_path, "x.json", HO_CHAIN)
     code, out, _ = run(capsys, "morphism", "--map", "ck", "--format", "latex", x)
     assert code == 0 and out == "S^{((()))}\n"
+
+
+def test_latex_letter_is_the_output_basis(capsys, tmp_path):
+    x = write_element(tmp_path, "x.json", HO_CHAIN)
+    code, out, _ = run(capsys, "basis-change", "--from", "S", "--to", "R", "--algebra", "ho", "--format", "latex", x)
+    assert code == 0 and out == "R^{(0 1)}\n"
+    r = write_element(tmp_path, "r.json", {"algebra": "ho", "basis": "R", "terms": [{"coeff": "1", "key": "0"}]})
+    code, out, _ = run(capsys, "product", "--algebra", "ho", "--basis", "R", "--format", "latex", r, r)
+    assert code == 0 and out.startswith("R^{") and "S^" not in out
+    code, out, _ = run(capsys, "basis-change", "--from", "R", "--to", "S", "--algebra", "ho", "--format", "latex", r)
+    assert code == 0 and out == "S^{(0)}\n"
+
+
+def _default_basis_json(tag: str) -> dict:
+    """A two-term element of ``tag`` in its default basis."""
+    keys = get_algebra(tag).keys_of_degree(2)
+    return element_to_json(FreeElement(tag, {keys[0]: 1, keys[-1]: -3}))
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+@pytest.mark.parametrize("tag", list(ALGEBRAS))
+def test_each_map_takes_only_its_source(capsys, tmp_path, name, tag):
+    m = MAPS[name]
+    payload = _default_basis_json(tag)
+    code, out, err = run(capsys, "morphism", "--map", name, write_element(tmp_path, "x.json", payload))
+    if tag == m.source:
+        expected = element_to_json(m.apply(element_from_json(payload)[0]))
+        assert code == 0 and json.loads(out) == expected and expected["algebra"] == m.target
+    else:
+        assert code == 2 and out == "" and f"{name} maps {m.source} elements, not {tag}" in err
+
+
+def test_wqsym_product_takes_the_m_basis(capsys, tmp_path):
+    x = {"algebra": "wqsym", "basis": "M", "terms": [{"coeff": "2", "key": "1 1"}, {"coeff": "-1", "key": "1 2"}]}
+    y = {"algebra": "wqsym", "basis": "M", "terms": [{"coeff": "1", "key": "1"}]}
+    px, py = write_element(tmp_path, "x.json", x), write_element(tmp_path, "y.json", y)
+    expected = element_to_json(product_elements(element_from_json(x)[0], element_from_json(y)[0]))
+    for argv in (("product", "--algebra", "wqsym", px, py), ("product", "--algebra", "wqsym", "--basis", "S", px, py)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out) == expected and expected["basis"] == "M"
+    s_word = write_element(tmp_path, "s.json", {**y, "basis": "S"})
+    code, out, err = run(capsys, "product", "--algebra", "wqsym", s_word, py)
+    assert code == 2 and out == "" and "basis S, expected M" in err
+
+
+SUBCOMMANDS = ("product", "coproduct", "basis-change", "realize", "morphism", "dims", "verify")
+
+
+def test_help_texts_are_pinned(capsys, monkeypatch):
+    # Every --help text at 80 columns, saved byte for byte from a known-good run.
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (Path(__file__).parent / "data" / "cli_help.txt").read_bytes()
+    out = []
+    for argv in ([], *([command] for command in SUBCOMMANDS)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out).encode() == expected
 
 
 def test_verify_examples_suite_passes(capsys):

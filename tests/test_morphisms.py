@@ -9,6 +9,7 @@ from treehopf.algebra import (
 from treehopf.endo import efsym_coproduct, is_acyclic, is_nondecreasing_parking, shifted_concat
 from treehopf.forests import ho_coproduct, ho_product, ck_coproduct
 from treehopf.morphisms import (
+    MAPS,
     b_plus,
     check_faa_di_bruno,
     ck_projection,
@@ -112,6 +113,23 @@ def test_pi_transports_the_seven_term_ordered_coproduct():
 def test_pi_hopf_rejects_other_algebras():
     with pytest.raises(StructureError):
         pi_hopf(FreeElement("ck", {}))
+
+
+def test_map_registry_pairs_sources_with_targets():
+    assert {name: (m.source, m.target) for name, m in MAPS.items()} == {
+        "pi": ("ho", "wqsym"),
+        "f_F": ("ho", "efsym"),
+        "ck": ("ho", "ck"),
+        "plane": ("nck", "ho"),
+    }
+    chain = FreeElement("ho", {F("0 1"): 2})
+    assert pi_hopf(chain) == MAPS["pi"].apply(chain) == 2 * pi_image(F("0 1"))
+    assert MAPS["f_F"].apply(chain) == FreeElement("efsym", {Endofunction((1, 1)): 2})
+    assert ck_projection(chain) == MAPS["ck"].apply(chain)
+    plane = FreeElement("nck", {PlaneForest.parse("(()) ()"): 1})
+    assert MAPS["plane"].apply(plane) == FreeElement("ho", {F("0 1 0"): 1})
+    with pytest.raises(StructureError, match="f_F maps ho elements, not nck"):
+        MAPS["f_F"].apply(plane)
 
 
 # ---------------------------------------------------------------------------

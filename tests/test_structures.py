@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import ancestors, restrict_forest
 from treehopf.forests import ck_coproduct, ho_coproduct, nck_coproduct
 from treehopf.structures import (
     Endofunction,
@@ -23,7 +24,6 @@ from treehopf.structures import (
     pack,
     plane_to_ordered,
     relabel_forest,
-    restrict_forest,
 )
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_lea_roo_partitions_and_keeps_induced_edges():
         vertices = set(range(1, forest.n + 1))
         terms: dict = {}
         for cut in enumerate_admissible_cuts(forest):
-            lea_set = {v for v in vertices if v in cut or forest.ancestors(v) & cut}
+            lea_set = {v for v in vertices if v in cut or ancestors(forest, v) & cut}
             roo, lea = restrict_forest(forest, vertices - lea_set), restrict_forest(forest, lea_set)
             assert roo.n + lea.n == forest.n
             kept = [e for e in forest.edges() if (e[0] in lea_set) == (e[1] in lea_set)]
