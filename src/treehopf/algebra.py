@@ -5,8 +5,13 @@ constant in this package is an integer, so any non-integer coefficient is a
 bug.  Concrete algebras register themselves in :data:`ALGEBRAS` with their
 key type, enumeration, product and coproduct, and the axiom checkers below
 (coassociativity, product/coproduct compatibility, antipode convolution)
-work uniformly over the registry.  Keys carry their own degree ``.n``,
-``parse``, ``render()`` and ``sort_key()``; the unit key is ``parse("")``.
+work uniformly over the registry.  Each check call computes the coproduct of
+each key and the product of each key pair once, from tables that live only
+for that call.  The antipode recursion S(x) = -x - sum S(x') x'' makes
+S * id = unit.counit hold by construction, so the antipode check tests
+id * S = unit.counit, the sum of a S(b) over Delta(x) = sum a (x) b.  Keys
+carry their own degree ``.n``, ``parse``, ``render()`` and ``sort_key()``;
+the unit key is ``parse("")``.
 """
 
 from __future__ import annotations
@@ -175,24 +180,27 @@ def product_elements(x: FreeElement, y: FreeElement, rule: Callable | None = Non
     return FreeElement(x.algebra, out)
 
 
-def coproduct_element(x: FreeElement) -> TensorElement:
-    ops = get_algebra(x.algebra)
+def coproduct_element(x: FreeElement, rule: Callable | None = None) -> TensorElement:
+    """Linear extension of the key coproduct ``rule`` (the algebra's own
+    coproduct by default)."""
+    rule = rule or get_algebra(x.algebra).coproduct
     out: dict = {}
     for key, coeff in x.terms.items():
-        accumulate(out, ops.coproduct(key).terms, coeff)
+        accumulate(out, rule(key).terms, coeff)
     return TensorElement(x.algebra, out)
 
 
-def tensor_product(t1: TensorElement, t2: TensorElement) -> TensorElement:
-    """(a (x) b)(c (x) d) = ac (x) bd, componentwise in the algebra product."""
+def tensor_product(t1: TensorElement, t2: TensorElement, rule: Callable | None = None) -> TensorElement:
+    """(a (x) b)(c (x) d) = ac (x) bd, componentwise in the key product
+    ``rule`` (the algebra's own product by default)."""
     if t1.algebra != t2.algebra:
         raise AlgebraTagError(f"cannot multiply {t1.algebra} by {t2.algebra} tensors")
-    ops = get_algebra(t1.algebra)
+    rule = rule or get_algebra(t1.algebra).product
     out: dict = {}
     for (a, b), c1 in t1.terms.items():
         for (c, d), c2 in t2.terms.items():
-            left = ops.product(a, c)
-            right = ops.product(b, d)
+            left = rule(a, c)
+            right = rule(b, d)
             for ka, cl in left.terms.items():
                 for kb, cr in right.terms.items():
                     pair = (ka, kb)
@@ -200,16 +208,30 @@ def tensor_product(t1: TensorElement, t2: TensorElement) -> TensorElement:
     return TensorElement(t1.algebra, out)
 
 
-def _triple_coproduct(tag: str, key, left_first: bool) -> dict:
-    """(Delta (x) id)Delta or (id (x) Delta)Delta applied to a basis key."""
-    ops = get_algebra(tag)
+def _tabled(kernel: Callable) -> Callable:
+    """``kernel`` computed once per distinct argument tuple, in a table that
+    lives as long as the returned function (one check call)."""
+    table: dict = {}
+
+    def lookup(*keys):
+        value = table.get(keys)
+        if value is None:
+            value = table[keys] = kernel(*keys)
+        return value
+
+    return lookup
+
+
+def _triple_coproduct(coproduct: Callable, key, left_first: bool) -> dict:
+    """(Delta (x) id)Delta or (id (x) Delta)Delta applied to a basis key,
+    with ``coproduct`` the key coproduct."""
     out: dict = {}
-    for (a, b), c in ops.coproduct(key).terms.items():
+    for (a, b), c in coproduct(key).terms.items():
         if left_first:
-            for (x, y), d in ops.coproduct(a).terms.items():
+            for (x, y), d in coproduct(a).terms.items():
                 out[(x, y, b)] = out.get((x, y, b), 0) + c * d
         else:
-            for (x, y), d in ops.coproduct(b).terms.items():
+            for (x, y), d in coproduct(b).terms.items():
                 out[(a, x, y)] = out.get((a, x, y), 0) + c * d
     return {k: v for k, v in out.items() if v}
 
@@ -240,10 +262,11 @@ def check_coassociativity(tag: str, max_degree: int) -> CheckReport:
     """(Delta (x) id)Delta = (id (x) Delta)Delta on every key of degree <= max_degree."""
     ops = get_algebra(tag)
     report = CheckReport("coassociativity", ops.tag)
+    coproduct = _tabled(ops.coproduct)
     for n in range(max_degree + 1):
         for key in ops.keys_of_degree(n):
             report.checked += 1
-            if _triple_coproduct(ops.tag, key, True) != _triple_coproduct(ops.tag, key, False):
+            if _triple_coproduct(coproduct, key, True) != _triple_coproduct(coproduct, key, False):
                 report.failures.append(key.render())
     return report
 
@@ -260,11 +283,12 @@ def check_bialgebra_compat(tag: str, max_degree: int, sample_degree: int | None 
     """
     ops = get_algebra(tag)
     report = CheckReport("bialgebra-compat", ops.tag)
+    product, coproduct = _tabled(ops.product), _tabled(ops.coproduct)
 
     def check_pair(a, b):
         report.checked += 1
-        lhs = coproduct_element(ops.product(a, b))
-        rhs = tensor_product(ops.coproduct(a), ops.coproduct(b))
+        lhs = coproduct_element(product(a, b), coproduct)
+        rhs = tensor_product(coproduct(a), coproduct(b), product)
         if lhs != rhs:
             report.failures.append(f"{a.render()} | {b.render()}")
 
@@ -291,10 +315,8 @@ def check_bialgebra_compat(tag: str, max_degree: int, sample_degree: int | None 
 _ANTIPODE_CACHE: dict[tuple[str, Any], FreeElement] = {}
 
 
-def antipode_key(tag: str, key) -> FreeElement:
-    """Recursive antipode of a graded connected bialgebra on a basis key:
-    S(1) = 1 and S(x) = -x - sum S(x') x'' over the reduced coproduct."""
-    ops = get_algebra(tag)
+def _antipode(ops: AlgebraOps, key, product: Callable, coproduct: Callable) -> FreeElement:
+    """antipode_key with ``product`` and ``coproduct`` as the key kernels."""
     cached = _ANTIPODE_CACHE.get((ops.tag, key))
     if cached is not None:
         return cached
@@ -303,14 +325,21 @@ def antipode_key(tag: str, key) -> FreeElement:
             raise AlgebraTagError(f"degree-0 key {key.render()!r} is not the unit")
         return unit_element(ops.tag)
     acc = {key: -1}
-    for (a, b), coeff in ops.coproduct(key).terms.items():
+    for (a, b), coeff in coproduct(key).terms.items():
         if a.n == 0 or b.n == 0:
             continue  # reduced coproduct only
-        for k, c in antipode_key(ops.tag, a).terms.items():
-            accumulate(acc, ops.product(k, b).terms, -coeff * c)
+        for k, c in _antipode(ops, a, product, coproduct).terms.items():
+            accumulate(acc, product(k, b).terms, -coeff * c)
     result = FreeElement(ops.tag, acc)
     _ANTIPODE_CACHE[(ops.tag, key)] = result
     return result
+
+
+def antipode_key(tag: str, key) -> FreeElement:
+    """Recursive antipode of a graded connected bialgebra on a basis key:
+    S(1) = 1 and S(x) = -x - sum S(x') x'' over the reduced coproduct."""
+    ops = get_algebra(tag)
+    return _antipode(ops, key, ops.product, ops.coproduct)
 
 
 def antipode(x: FreeElement) -> FreeElement:
@@ -321,16 +350,18 @@ def antipode(x: FreeElement) -> FreeElement:
 
 
 def check_antipode(tag: str, max_degree: int) -> CheckReport:
-    """Convolution identity (S * id)(key) = unit.counit(key) for degrees 1..max."""
+    """Convolution identity (id * S)(key) = unit.counit(key) for degrees
+    1..max; S * id holds by the construction of S (module docstring)."""
     ops = get_algebra(tag)
     report = CheckReport("antipode-convolution", ops.tag)
+    product, coproduct = _tabled(ops.product), _tabled(ops.coproduct)
     for n in range(1, max_degree + 1):
         for key in ops.keys_of_degree(n):
             report.checked += 1
             conv: dict = {}
-            for (a, b), coeff in ops.coproduct(key).terms.items():
-                for k, c in antipode_key(ops.tag, a).terms.items():
-                    accumulate(conv, ops.product(k, b).terms, coeff * c)
+            for (a, b), coeff in coproduct(key).terms.items():
+                for k, c in _antipode(ops, b, product, coproduct).terms.items():
+                    accumulate(conv, product(a, k).terms, coeff * c)
             if any(conv.values()):  # counit vanishes in positive degree
                 report.failures.append(key.render())
     return report

@@ -89,7 +89,8 @@ def cmd_product(args, config: dict) -> int:
     if basis == "R":
         r_basis = bases.R_BASES.get(args.algebra)
         if r_basis is None or r_basis.r_product is None:
-            raise UsageError("R-basis products are available for ho and efsym")
+            with_product = [tag for tag, entry in bases.R_BASES.items() if entry.r_product]
+            raise UsageError(f"R-basis products are available for {' and '.join(with_product)}")
         rule = r_basis.r_product
     _emit_element(product_elements(x, y, rule), basis, args.format)
     return 0

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import treehopf  # noqa: F401  (registers the algebras)
+from treehopf import algebra
 from treehopf.algebra import (
     ALGEBRAS,
     AlgebraTagError,
@@ -132,19 +134,26 @@ def test_convolution_identity_degrees_1_to_4():
         assert report.ok, report.summary()
 
 
+def test_antipode_check_and_antipode_key_agree(swap_kernels):
+    """check_antipode fills the antipode cache through its own tables with the
+    values antipode_key computes from the plain kernels."""
+    assert check_antipode("ho", 3).ok
+    from_check = dict(algebra._ANTIPODE_CACHE)
+    algebra._ANTIPODE_CACHE.clear()
+    assert from_check == {(tag, key): antipode_key(tag, key) for tag, key in from_check}
+    assert len(from_check) == 1 + 3 + 16
+
+
 # ---------------------------------------------------------------------------
 # Generic checks at small sizes
 # ---------------------------------------------------------------------------
 
-def test_coassociativity_ck_and_ho_degree_4():
-    assert check_coassociativity("ck", 4).ok
-    report = check_coassociativity("ho", 4)
-    assert report.ok and report.checked == 1 + 1 + 3 + 16 + 125
-
-
-def test_coassociativity_efsym_degree_3():
-    report = check_coassociativity("efsym", 3)
-    assert report.ok and report.checked == 1 + 1 + 4 + 27
+@pytest.mark.parametrize("tag, cases", [
+    ("ck", 37), ("nck", 65), ("ho", 1442), ("wqsym", 634), ("sgsym", 154), ("efsym", 3414),
+])
+def test_coassociativity_degree_5(tag, cases):
+    report = check_coassociativity(tag, 5)
+    assert report.ok and report.checked == cases
 
 
 def test_compat_examples():
@@ -153,16 +162,110 @@ def test_compat_examples():
     assert check_bialgebra_compat("sgsym", 4).ok
 
 
-def test_compat_failure_reporting_is_data_not_exception():
-    report = check_bialgebra_compat("ck", 2)
-    assert report.failures == []
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("tag", ["ck", "nck", "ho", "wqsym", "sgsym", "efsym"])
 def test_coassoc_and_compat_exhaustive_degree_4(tag):
     assert check_coassociativity(tag, 4).ok
     assert check_bialgebra_compat(tag, 4).ok
+
+
+# ---------------------------------------------------------------------------
+# Checks against deliberately broken kernels
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def swap_kernels(monkeypatch):
+    """swap(tag, product=..., coproduct=...) replaces kernels of ALGEBRAS[tag]
+    for one test; no antipode built from them outlives it."""
+    algebra._ANTIPODE_CACHE.clear()
+
+    def swap(tag, **kernels):
+        monkeypatch.setitem(ALGEBRAS, tag, dataclasses.replace(ALGEBRAS[tag], **kernels))
+
+    yield swap
+    algebra._ANTIPODE_CACHE.clear()
+
+
+def plus_one_coproduct(tag):
+    """The coproduct of ``tag`` with +1 on the first reduced term of every
+    key of degree >= 3 that has one."""
+    ops = ALGEBRAS[tag]
+
+    def broken(key):
+        terms = dict(ops.coproduct(key).terms)
+        reduced = [pair for pair in terms if pair[0].n and pair[1].n]
+        if key.n >= 3 and reduced:
+            terms[min(reduced, key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))] += 1
+        return TensorElement(tag, terms)
+
+    return broken
+
+
+def test_coassociativity_reports_a_broken_coproduct(swap_kernels):
+    swap_kernels("ho", coproduct=plus_one_coproduct("ho"))
+    report = check_coassociativity("ho", 4)
+    assert report.checked == 146 and len(report.failures) == 141
+    assert all(OrderedForest.parse(text).n >= 3 for text in report.failures)
+
+
+def test_antipode_check_reports_a_broken_coproduct(swap_kernels):
+    """The recursion makes S * id = unit.counit hold for any coproduct; the
+    check tests the other side, id * S, so a broken coproduct shows."""
+    for tag, failures in [("ho", 129), ("efsym", 179), ("wqsym", 54), ("ck", 13)]:
+        swap_kernels(tag, coproduct=plus_one_coproduct(tag))
+        report = check_antipode(tag, 4)
+        assert len(report.failures) == failures, report.summary()
+        assert report.failures[0] in {key.render() for key in ALGEBRAS[tag].keys_of_degree(3)}
+
+
+def test_compat_failure_reporting_is_data_not_exception(swap_kernels):
+    product = ALGEBRAS["ho"].product
+    swap_kernels("ho", product=lambda a, b: 2 * product(a, b) if a.n and b.n else product(a, b))
+    report = check_bialgebra_compat("ho", 3)
+    assert report.checked == 48
+    assert report.failures == ["0 | 0", "0 | 0 0", "0 | 0 1", "0 | 2 0", "0 0 | 0", "0 1 | 0", "2 0 | 0"]
+    assert report.summary() == "bialgebra-compat[ho]: 48 cases, 7 FAILURES"
+
+
+# ---------------------------------------------------------------------------
+# Each check computes each kernel once
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def count_kernels(swap_kernels):
+    """count(tag) wraps the kernels of ALGEBRAS[tag] with one counter per
+    distinct call and returns the counters."""
+
+    def count(tag):
+        ops = ALGEBRAS[tag]
+        calls = collections.Counter()
+
+        def product(a, b):
+            calls["product", a, b] += 1
+            return ops.product(a, b)
+
+        def coproduct(key):
+            calls["coproduct", key] += 1
+            return ops.coproduct(key)
+
+        swap_kernels(tag, product=product, coproduct=coproduct)
+        return calls
+
+    return count
+
+
+@pytest.mark.parametrize("check, tag, degree", [
+    (check_coassociativity, "wqsym", 4),
+    (check_bialgebra_compat, "ho", 3),
+    (check_antipode, "efsym", 3),
+])
+def test_each_check_computes_each_kernel_once(count_kernels, check, tag, degree):
+    calls = count_kernels(tag)
+    assert check(tag, degree).ok
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    assert check(tag, degree).ok  # the tables died with the first call
+    assert calls and max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "coproduct", "--algebra", "ho", str(bad))[0] == 2
     assert run(capsys, "basis-change", "--from", "S", "--to", "S", "--algebra", "ho", x)[0] == 2
     assert run(capsys, "product", "--algebra", "ck", "--basis", "R", x, x)[0] == 2
+    ck_leaf = write_element(tmp_path, "ck.json", {
+        "algebra": "ck", "basis": "R", "terms": [{"coeff": "1", "key": "()"}],
+    })
+    assert run(capsys, "product", "--algebra", "ck", "--basis", "R", ck_leaf, ck_leaf) == (
+        2, "", "error: R-basis products are available for ho and efsym\n")
     y = write_element(tmp_path, "y.json", {
         "algebra": "ho", "basis": "R", "terms": [{"coeff": "1", "key": "0"}],
     })
