@@ -24,7 +24,7 @@ from .algebra import (
     tensor_to_json,
 )
 from .morphisms import MAPS
-from .realization import family, polynomial_to_json
+from .realization import FAMILIES, family, polynomial_to_json
 from .structures import EnumerationBoundError, FormatError, StructureError
 
 
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
 
     p = sub.add_parser("realize", help="polynomial realization of one object")
-    p.add_argument("--version", choices=["v1", "v2", "func"], required=True)
+    p.add_argument("--version", choices=[v for v, fam in FAMILIES.items() if not fam.internal], required=True)
     p.add_argument("--indices", type=int, default=None, help="truncation N (default 2n+2)")
     p.add_argument("--object", required=True, help="text form of the forest or endofunction")
 

@@ -32,9 +32,11 @@ codes in base 2K^2, so the empty word is 0 and concatenation w1 w2 is
 ``w1 + w2 * base ** len(w1)``.  Each letter's subscripts are values of the
 structure's vertex variables, so a word's code is a sum of value * weight
 terms and the compatible words are enumerated as sums, one variable at a
-time.  Over the doubled alphabet the enumerator yields triples (B-position
-mask, A-subword code, B-subword code), the B letters coded as if they were
-A: the words come out already split by side.
+time.  Over the doubled alphabet the enumerator yields one block per closed
+set: (B-position mask, A-subword codes, B-subword codes), the B letters
+coded as if they were A.  The doubled words of a block are every pair of an
+A-subword and a B-subword, so they come out already split by side, and a
+check can compare whole blocks without forming the pairs.
 """
 
 from __future__ import annotations
@@ -299,8 +301,9 @@ def _assign(steps: list) -> list[int]:
 
 def _regime(image_of: Callable[[Any], Sequence[int]], relation: str | None, root: str):
     """The ``words`` slot of a family whose keys are the maps ``image_of``:
-    codes of S^x, or (mask, A-subword, B-subword) triples over the doubled
-    alphabet.  Each position is linked to its image; fixed points are roots."""
+    codes of S^x, or one (mask, A-subwords, B-subwords) block per closed set
+    over the doubled alphabet.  Each position is linked to its image; fixed
+    points are roots."""
 
     def side_words(parent: Sequence[int], side: Sequence[int], size: int) -> list[int]:
         return _assign(_steps(parent, side, relation, root, size))
@@ -311,11 +314,11 @@ def _regime(image_of: Callable[[Any], Sequence[int]], relation: str | None, root
         # size, bounds them.
         positions = range(1, len(image) + 1)
         for mask in closed_subsets(image, bound=len(image)):
-            a_codes = side_words(parent, [v for v in positions if not mask >> (v - 1) & 1], size)
-            b_codes = side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size)
-            for b in b_codes:
-                for a in a_codes:
-                    yield mask, a, b
+            yield (
+                mask,
+                side_words(parent, [v for v in positions if not mask >> (v - 1) & 1], size),
+                side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size),
+            )
 
     def words(key, size: int, doubled: bool = False) -> Iterable:
         _check_truncation(size)
@@ -328,21 +331,29 @@ def _regime(image_of: Callable[[Any], Sequence[int]], relation: str | None, root
     return words
 
 
-def _interleave(triples: Iterable[tuple[int, int, int]], n: int, size: int) -> Iterator[int]:
-    """Full doubled-word codes of (mask, A-subword, B-subword) triples."""
+def _interleave(blocks: Iterable[tuple[int, list, list]], n: int, size: int) -> Iterator[int]:
+    """Full doubled-word codes of (mask, A-subwords, B-subwords) blocks: one
+    word per pair of a block's A- and B-subwords.  A full code is the sum of
+    its A letters and its B letters placed at their positions, so each
+    subword is spread once and the pairs are sums."""
     base = code_base(size)
     b_side = (size + 1) * (size + 1)
-    for mask, a, b in triples:
-        code, p = 0, 1
-        for v in range(n):
-            if mask >> v & 1:
-                b, d = divmod(b, base)
-                code += (d + b_side) * p
-            else:
-                a, d = divmod(a, base)
-                code += d * p
-            p *= base
-        yield code
+
+    def spread(code: int, places: list[int], offset: int) -> int:
+        out = 0
+        for p in places:
+            code, d = divmod(code, base)
+            out += (d + offset) * p
+        return out
+
+    for mask, a_codes, b_codes in blocks:
+        a_places = [base**v for v in range(n) if not mask >> v & 1]
+        b_places = [base**v for v in range(n) if mask >> v & 1]
+        spread_a = [spread(a, a_places, 0) for a in a_codes]
+        for b in b_codes:
+            sb = spread(b, b_places, b_side)
+            for sa in spread_a:
+                yield sa + sb
 
 
 def _decoded(version: str, key, size: int, doubled: bool) -> Iterator[Word]:
@@ -385,11 +396,15 @@ class RealizationFamily(NamedTuple):
     """A polynomial realization: an algebra and the letter regime whose
     compatible words make S^x.  Keys, product, coproduct and parser are the
     algebra's own (``ops``); ``words(key, size, doubled)`` lists the codes
-    of S^x, or its (B mask, A-subword, B-subword) triples when doubled."""
+    of S^x, or, when doubled, one (B mask, A-subword codes, B-subword codes)
+    block per closed set, whose words are all the pairs of the two lists.
+    An ``internal`` family is left out of ``realize --version`` and of the
+    rank checks of the realization suite."""
 
     version: str
     algebra: str
     words: Callable[[Any, int, bool], Iterable]
+    internal: bool = False
 
     @property
     def ops(self) -> AlgebraOps:
@@ -423,7 +438,7 @@ FAMILIES: dict[str, RealizationFamily] = {
         RealizationFamily("v1", "ho", _regime(forest_image, ">", "below")),
         RealizationFamily("v2", "ho", _regime(forest_image, ">", "loop")),
         RealizationFamily("func", "efsym", _regime(lambda f: f.image, "!=", "different")),
-        RealizationFamily("perm", "sgsym", _regime(lambda s: s.inverse().image, None, "loop")),
+        RealizationFamily("perm", "sgsym", _regime(lambda s: s.inverse().image, None, "loop"), internal=True),
     )
 }
 

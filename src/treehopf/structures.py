@@ -88,6 +88,7 @@ class OrderedForest:
     """
 
     parent: tuple[int, ...]
+    __slots__ = ("parent", "_hash")
 
     def __post_init__(self):
         n = len(self.parent)
@@ -103,6 +104,13 @@ class OrderedForest:
                     raise StructureError(f"parent vector contains a cycle through {v}")
                 seen.add(v)
                 v = self.parent[v - 1]
+        # Keys are hashed on every dict operation of the checks, so each key
+        # hashes once, to the value the dataclass hash would give.  Slots
+        # instead of an instance dict keep the cached hash from costing memory.
+        object.__setattr__(self, "_hash", hash((self.parent,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -285,6 +293,7 @@ def enumerate_admissible_cuts(forest, bound: int | None = None) -> list[frozense
 @dataclass(frozen=True)
 class PlaneForest:
     trees: tuple
+    __slots__ = ("trees", "_hash")
 
     def __post_init__(self):
         def check(tree):
@@ -297,6 +306,10 @@ class PlaneForest:
             raise StructureError("a plane forest is a tuple of trees")
         for tree in self.trees:
             check(tree)
+        object.__setattr__(self, "_hash", hash((self.trees,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -405,10 +418,15 @@ class RootedForest:
     """Unlabelled rooted forest, stored by its canonical string form."""
 
     canonical: str
+    __slots__ = ("canonical", "_hash")
 
     def __post_init__(self):
         if canonical_form(self.canonical) != self.canonical:
             raise StructureError(f"{self.canonical!r} is not in canonical form")
+        object.__setattr__(self, "_hash", hash((self.canonical,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -465,12 +483,17 @@ class Endofunction:
     """A total map [n] -> [n], stored as the image vector (f(1),...,f(n))."""
 
     image: tuple[int, ...]
+    __slots__ = ("image", "_hash")
 
     def __post_init__(self):
         n = len(self.image)
         for v, fv in enumerate(self.image, start=1):
             if not 1 <= fv <= n:
                 raise StructureError(f"f({v}) = {fv} out of range 1..{n}")
+        object.__setattr__(self, "_hash", hash((self.image,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -530,10 +553,15 @@ class Endofunction:
 class Permutation(Endofunction):
     """A bijective endofunction."""
 
+    __slots__ = ()
+
     def __post_init__(self):
         super().__post_init__()
         if sorted(self.image) != list(range(1, self.n + 1)):
             raise StructureError(f"{self.image} is not a permutation")
+
+    # the dataclass decorator would otherwise regenerate the hash
+    __hash__ = Endofunction.__hash__
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -597,12 +625,17 @@ class PackedWord:
     """A word over {1..m} using every value in {1..m} at least once."""
 
     letters: tuple[int, ...]
+    __slots__ = ("letters", "_hash")
 
     def __post_init__(self):
         if self.letters:
             m = max(self.letters)
             if min(self.letters) < 1 or set(self.letters) != set(range(1, m + 1)):
                 raise StructureError(f"{self.letters} is not packed")
+        object.__setattr__(self, "_hash", hash((self.letters,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:

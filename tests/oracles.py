@@ -5,7 +5,10 @@ target degree and keep the ones that satisfy the defining condition.  The
 library builds the same results term by term; ``test_oracles.py`` checks
 that the two agree.  The oracles are slow on purpose and live only here.
 The compatible-word enumerators build each word as a tuple of letters, the
-way the definition reads; the library enumerates integer word codes.
+way the definition reads; the library enumerates integer word codes.  The
+realization checks multiply whole polynomials and count every pair of
+doubled subwords; the library compares sorted word lists and rectangles of
+words.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Iterator
 
 from treehopf.algebra import FreeElement, TensorElement
 from treehopf.endo import std_restrict
-from treehopf.realization import Letter, Word, _check_truncation
+from treehopf.realization import Letter, Word, _check_truncation, family
 from treehopf.structures import (
     Endofunction,
     OrderedForest,
@@ -346,3 +349,35 @@ def iter_permutation_words(
             yield tuple(
                 (sides[k], vals[inv(k) - 1], vals[k - 1]) for k in range(1, n + 1)
             )
+
+
+# Realization checks
+
+def multiplicativity_ok(version: str, left, right, size: int) -> bool:
+    """S^x S^y = S^{x.y}: the product of two realized polynomials against
+    the realized product."""
+    fam = family(version)
+    return fam.realize(left, size) * fam.realize(right, size) == fam.realize(
+        fam.ops.product(left, right), size
+    )
+
+
+def doubling_transport_ok(version: str, key, size: int) -> bool:
+    """Every doubled word counted by its (A-subword, B-subword) pair, against
+    the coproduct terms' pairs of words counted with their coefficients."""
+    fam = family(version)
+    grouped: dict = {}
+    for _, a_codes, b_codes in fam.words(key, size, True):
+        for b in b_codes:
+            for a in a_codes:
+                pair = (a, b)
+                grouped[pair] = grouped.get(pair, 0) + 1
+    expected: dict = {}
+    for (a, b), coeff in fam.ops.coproduct(key).terms.items():
+        left = fam.realize(a, size).codes
+        right = fam.realize(b, size).codes
+        for w2 in right:
+            for w1 in left:
+                pair = (w1, w2)
+                expected[pair] = expected.get(pair, 0) + coeff
+    return grouped == expected

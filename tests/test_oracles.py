@@ -1,16 +1,19 @@
 """The output-sensitive constructions against their brute-force oracles."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 import oracles
-from treehopf.algebra import FreeElement, get_algebra
+from treehopf import verify
+from treehopf.algebra import ALGEBRAS, FreeElement, TensorElement, get_algebra
 from treehopf.bases import forest_down_set, r_product_endo, r_product_forest
 from treehopf.cli import main
 from treehopf.endo import ideals
 from treehopf.realization import (
+    FAMILIES,
     NCPolynomial,
     decode_word,
     encode_word,
@@ -183,10 +186,12 @@ def test_doubled_triples_split_the_oracle_words_by_side(max_degree, size):
     for version, key, size, doubled in coded_cases(max_degree, size):
         if not doubled:
             continue
-        triples = list(family(version).words(key, size, True))
+        blocks = list(family(version).words(key, size, True))
         got = sorted(
             (decode_word(a, size), tuple(("B", i, j) for _, i, j in decode_word(b, size)))
-            for _, a, b in triples
+            for _, a_codes, b_codes in blocks
+            for a in a_codes
+            for b in b_codes
         )
         assert got == sorted(
             (tuple(l for l in w if l[0] == "A"), tuple(l for l in w if l[0] == "B"))
@@ -196,8 +201,116 @@ def test_doubled_triples_split_the_oracle_words_by_side(max_degree, size):
         for pair in got:
             counts[pair] = counts.get(pair, 0) + 1
         assert group_doubled(family(version).realize(key, size, True)) == counts
-        for mask, a, b in triples:
-            assert mask.bit_count() == len(decode_word(b, size)) == key.n - len(decode_word(a, size))
+        for mask, a_codes, b_codes in blocks:
+            for a in a_codes:
+                assert len(decode_word(a, size)) == key.n - mask.bit_count()
+            for b in b_codes:
+                assert len(decode_word(b, size)) == mask.bit_count()
+
+
+# ---------------------------------------------------------------------------
+# Realization checks: sorted words and rectangles against the oracle checks
+# ---------------------------------------------------------------------------
+
+def check_verdicts(size, max_degree):
+    """(case, library verdict, oracle verdict) for multiplicativity on every
+    pair of total degree <= max_degree and doubling on every key of degree
+    <= max_degree, in every family."""
+    out = []
+    for version in FAMILIES:
+        keys = family(version).ops.keys_of_degree
+        degrees = range(max_degree + 1)
+        cases = [("multiplicativity_ok", pair) for total in degrees for pair in pairs(keys, total)]
+        cases += [("doubling_transport_ok", (key,)) for d in degrees for key in keys(d)]
+        for check, args in cases:
+            got = getattr(verify, check)(version, *args, size)
+            out.append(((version, check, args, size), got, getattr(oracles, check)(version, *args, size)))
+    return out
+
+
+@pytest.fixture
+def pair_counts(monkeypatch):
+    """The verdicts of the doubling checks that fell back to counting word
+    pairs."""
+    verdicts = []
+    count_pairs = verify._pair_counts_ok
+
+    def spy(*args):
+        verdicts.append(count_pairs(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify, "_pair_counts_ok", spy)
+    return verdicts
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_realization_checks_match_the_oracle_checks(size, pair_counts):
+    for case, got, want in check_verdicts(size, 3):
+        assert got is want is True, case
+    assert not pair_counts
+
+
+def spoil_the_coproduct(spoil):
+    def broken(ops):
+        def coproduct(key):
+            return TensorElement(ops.tag, spoil(list(ops.coproduct(key).terms.items())))
+
+        return dataclasses.replace(ops, coproduct=coproduct)
+
+    return broken
+
+
+BROKEN_KERNELS = {
+    "coproduct term dropped": spoil_the_coproduct(lambda terms: dict(terms[1:])),
+    "coproduct term doubled": spoil_the_coproduct(
+        lambda terms: dict([(t, 2 * c) for t, c in terms[:1]] + terms[1:])
+    ),
+    "product scaled by 2": lambda ops: dataclasses.replace(ops, product=lambda a, b: 2 * ops.product(a, b)),
+    "product factors swapped": lambda ops: dataclasses.replace(ops, product=lambda a, b: ops.product(b, a)),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_KERNELS)
+def test_realization_checks_match_the_oracle_on_broken_kernels(broken, monkeypatch, pair_counts):
+    for tag in {fam.algebra for fam in FAMILIES.values()}:
+        monkeypatch.setitem(ALGEBRAS, tag, BROKEN_KERNELS[broken](get_algebra(tag)))
+    verdicts = check_verdicts(3, 3)
+    for case, got, want in verdicts:
+        assert got is want, case
+    assert not all(want for _, _, want in verdicts)
+    assert bool(pair_counts) == broken.startswith("coproduct")
+
+
+# a fault in one key's word list, applied to every plain list and to the
+# A-subwords of every doubled block
+WORD_FAULTS = {
+    "a repeated word": lambda key, words: words + words[:1],
+    "an extra word above degree 1": (
+        lambda key, words: words + [max(words) + 1] if key.n > 1 and words else words
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", WORD_FAULTS)
+def test_realization_checks_match_the_oracle_on_faulty_word_lists(fault, monkeypatch, pair_counts):
+    spoil = WORD_FAULTS[fault]
+
+    def spoiled(words):
+        def faulty(key, size, doubled=False):
+            found = words(key, size, doubled)
+            if doubled:
+                return [(mask, spoil(key, a_codes), b_codes) for mask, a_codes, b_codes in found]
+            return spoil(key, found)
+
+        return faulty
+
+    for version, fam in list(FAMILIES.items()):
+        monkeypatch.setitem(FAMILIES, version, fam._replace(words=spoiled(fam.words)))
+    verdicts = check_verdicts(3, 3)
+    for case, got, want in verdicts:
+        assert got is want, case
+    assert not all(want for _, _, want in verdicts)
+    assert pair_counts
 
 
 def polynomial_sum(p, q):
