@@ -116,7 +116,7 @@ def cmd_realize(args, config: dict) -> int:
     obj = fam.ops.parse_key(args.object)
     if size is None:
         size = 2 * (obj.n if obj.n else 1) + 2
-    _emit(polynomial_to_json(fam.realize(obj, size), args.version, size))
+    _emit(polynomial_to_json(fam.realize(obj, size), args.version))
     return 0
 
 

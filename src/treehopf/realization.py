@@ -74,18 +74,6 @@ def code_base(size: int) -> int:
     return 2 * (size + 1) * (size + 1)
 
 
-def encode_word(word: Word, size: int) -> int:
-    k = size + 1
-    base = code_base(size)
-    code = 0
-    for letter in reversed(word):
-        side, i, j = letter
-        if side not in ("A", "B") or not 0 <= i <= size or not 1 <= j <= size:
-            raise StructureError(f"letter {letter!r} is not a letter at truncation {size}")
-        code = code * base + ((side == "B") * k + i) * k + j
-    return code
-
-
 def decode_word(code: int, size: int) -> Word:
     k = size + 1
     base = code_base(size)
@@ -106,51 +94,29 @@ def _word_length(code: int, base: int) -> int:
 
 
 class NCPolynomial:
-    """Sparse integer polynomial in noncommuting bi-indexed letters.
+    """Sparse integer polynomial in noncommuting letters at one truncation.
 
     ``codes`` maps word codes at truncation ``size`` to nonzero coefficients;
-    ``terms`` decodes them to letter words on every access.  Built from a
-    letter-word dict, the polynomial is coded at its largest subscript.
-    Operands of different sizes are compared and combined at the larger one.
+    ``terms`` decodes them to letter words on every access.  Polynomials at
+    two truncations are never equal, and their product is an error.
     """
 
     __slots__ = ("codes", "size")
 
-    def __init__(self, terms: dict[Word, int] | None = None):
-        terms = {w: c for w, c in (terms or {}).items() if c}
-        self.size = max((max(i, j) for w in terms for _, i, j in w), default=1)
-        self.codes = {encode_word(w, self.size): c for w, c in terms.items()}
-
-    @classmethod
-    def from_codes(cls, codes: dict[int, int], size: int) -> "NCPolynomial":
-        poly = cls.__new__(cls)
-        poly.codes = codes
-        poly.size = size
-        return poly
+    def __init__(self, codes: dict[int, int], size: int):
+        self.codes = codes
+        self.size = size
 
     @property
     def terms(self) -> dict[Word, int]:
         return {decode_word(w, self.size): c for w, c in self.codes.items()}
 
-    def _aligned(self, other: "NCPolynomial") -> tuple[dict, dict, int]:
-        size = max(self.size, other.size)
-        return self._recoded(size), other._recoded(size), size
-
-    def _recoded(self, size: int) -> dict[int, int]:
-        if size == self.size:
-            return self.codes
-        return {encode_word(decode_word(w, self.size), size): c for w, c in self.codes.items()}
-
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        left, right, size = self._aligned(other)
-        out = dict(left)
-        accumulate(out, right)
-        return NCPolynomial.from_codes({w: c for w, c in out.items() if c}, size)
-
     def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
-        left, right, size = self._aligned(other)
+        left, right, size = self.codes, other.codes, self.size
+        if other.size != size:
+            raise StructureError(f"cannot multiply polynomials truncated at {size} and {other.size}")
         if not left or not right:
-            return NCPolynomial.from_codes({}, size)
+            return NCPolynomial({}, size)
         base = code_base(size)
         length = _word_length(min(left), base)
         if length == _word_length(max(left), base):
@@ -163,27 +129,17 @@ class NCPolynomial:
                 for w2 in (w * shift,)
                 for w1, c1 in left.items()
             }
-            return NCPolynomial.from_codes(out, size)
+            return NCPolynomial(out, size)
         out = {}
         for w1, c1 in left.items():
             shift = base ** _word_length(w1, base)
             for w2, c2 in right.items():
                 w = w1 + w2 * shift
                 out[w] = out.get(w, 0) + c1 * c2
-        return NCPolynomial.from_codes({w: c for w, c in out.items() if c}, size)
-
-    def __rmul__(self, scalar: int) -> "NCPolynomial":
-        codes = {w: scalar * c for w, c in self.codes.items()} if scalar else {}
-        return NCPolynomial.from_codes(codes, self.size)
+        return NCPolynomial({w: c for w, c in out.items() if c}, size)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPolynomial):
-            return False
-        left, right, _ = self._aligned(other)
-        return left == right
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return isinstance(other, NCPolynomial) and self.size == other.size and self.codes == other.codes
 
     def __len__(self):
         return len(self.codes)
@@ -412,10 +368,11 @@ class RealizationFamily(NamedTuple):
 
     def realize(self, x, size: int, doubled: bool = False) -> NCPolynomial:
         """S^x of a key, or the linear extension over an element's terms."""
-        if not isinstance(x, FreeElement):
+        if isinstance(x, self.ops.key_type):
             x = FreeElement.from_key(self.algebra, x)
-        elif x.algebra != self.algebra:
-            raise AlgebraTagError(f"{self.version} realizes {self.algebra}, not {x.algebra}")
+        elif not (isinstance(x, FreeElement) and x.algebra == self.algebra):
+            got = getattr(x, "algebra", type(x).__name__)
+            raise AlgebraTagError(f"{self.version} realizes {self.algebra}, not {got}")
 
         def codes(key):
             found = self.words(key, size, doubled)
@@ -429,7 +386,7 @@ class RealizationFamily(NamedTuple):
             for part in parts:
                 accumulate(terms, part)
             terms = {w: c for w, c in terms.items() if c}
-        return NCPolynomial.from_codes(terms, size)
+        return NCPolynomial(terms, size)
 
 
 FAMILIES: dict[str, RealizationFamily] = {
@@ -610,11 +567,11 @@ def rank_check(keys: Iterable, realize: Callable, size: int, label: str = "") ->
 # JSON dump (CLI `realize`)
 # ---------------------------------------------------------------------------
 
-def polynomial_to_json(poly: NCPolynomial, version: str, size: int) -> dict:
+def polynomial_to_json(poly: NCPolynomial, version: str) -> dict:
     words = sorted(poly.terms.items(), key=lambda kv: kv[0])
     return {
         "version": version.upper(),
-        "N": size,
+        "N": poly.size,
         "terms": [
             {"coeff": str(c), "word": [[s, i, j] for (s, i, j) in w]} for w, c in words
         ],

@@ -575,21 +575,12 @@ class Permutation(Endofunction):
 
 
 def cycle_vertices(f: Endofunction) -> set[int]:
-    """Vertices lying on a cycle of the functional graph (fixed points included)."""
-    out = set()
-    for v in range(1, f.n + 1):
-        slow = fast = v
-        while True:
-            slow = f(slow)
-            fast = f(f(fast))
-            if slow == fast:
-                break
-        cyc = {slow}
-        w = f(slow)
-        while w != slow:
-            cyc.add(w)
-            w = f(w)
-        out |= cyc
+    """Vertices lying on a cycle of the functional graph (fixed points
+    included): the image of f^n, since n steps from any vertex end on a
+    cycle and f permutes the cycle vertices."""
+    out = set(range(1, f.n + 1))
+    for _ in range(f.n):
+        out = {f.image[v - 1] for v in out}
     return out
 
 

@@ -144,40 +144,32 @@ def doubling_transport_ok(version: str, key, size: int) -> bool:
 REALIZATION_SIZE = 8
 
 
+def _counted(label: str, unit: str, verdicts: Iterable[bool]) -> Outcome:
+    """One outcome for a stream of check verdicts: cases and failures."""
+    cases = failures = 0
+    for ok in verdicts:
+        cases += 1
+        failures += not ok
+    return (label, not failures, f"{cases} {unit}, {failures} failures")
+
+
 def suite_realization(max_degree: int = 3) -> list[Outcome]:
     out = []
+    size = REALIZATION_SIZE
     for version, fam in FAMILIES.items():
         keys = [fam.ops.keys_of_degree(d) for d in range(max_degree + 1)]
-        bad = []
-        checked = 0
-        for total in range(2, max_degree + 1):
-            for d1 in range(1, total):
-                for a in keys[d1]:
-                    for b in keys[total - d1]:
-                        checked += 1
-                        if not multiplicativity_ok(version, a, b, REALIZATION_SIZE):
-                            bad.append((a, b))
-        out.append(
-            (
-                f"realize-product[{version}] deg<={max_degree} N={REALIZATION_SIZE}",
-                not bad,
-                f"{checked} pairs, {len(bad)} failures",
-            )
+        pairs = (
+            (a, b)
+            for total in range(2, max_degree + 1)
+            for d1 in range(1, total)
+            for a in keys[d1]
+            for b in keys[total - d1]
         )
-        bad2 = []
-        checked2 = 0
-        for d in range(max_degree + 1):
-            for key in keys[d]:
-                checked2 += 1
-                if not doubling_transport_ok(version, key, REALIZATION_SIZE):
-                    bad2.append(key)
-        out.append(
-            (
-                f"realize-doubling[{version}] deg<={max_degree} N={REALIZATION_SIZE}",
-                not bad2,
-                f"{checked2} keys, {len(bad2)} failures",
-            )
-        )
+        where = f"[{version}] deg<={max_degree} N={size}"
+        products = (multiplicativity_ok(version, a, b, size) for a, b in pairs)
+        doublings = (doubling_transport_ok(version, key, size) for degree in keys for key in degree)
+        out.append(_counted(f"realize-product{where}", "pairs", products))
+        out.append(_counted(f"realize-doubling{where}", "keys", doublings))
     for version, fam in FAMILIES.items():
         if fam.internal:
             continue

@@ -5,10 +5,11 @@ target degree and keep the ones that satisfy the defining condition.  The
 library builds the same results term by term; ``test_oracles.py`` checks
 that the two agree.  The oracles are slow on purpose and live only here.
 The compatible-word enumerators build each word as a tuple of letters, the
-way the definition reads; the library enumerates integer word codes.  The
-realization checks multiply whole polynomials and count every pair of
-doubled subwords; the library compares sorted word lists and rectangles of
-words.
+way the definition reads; the library enumerates integer word codes, and
+``encode_word`` codes a letter word the way the library's ``decode_word``
+reads it back.  The realization checks multiply whole polynomials and
+count every pair of doubled subwords; the library compares sorted word
+lists and rectangles of words.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator
 
 from treehopf.algebra import FreeElement, TensorElement
 from treehopf.endo import std_restrict
-from treehopf.realization import Letter, Word, _check_truncation, family
+from treehopf.realization import Letter, Word, _check_truncation, code_base, family
 from treehopf.structures import (
     Endofunction,
     OrderedForest,
@@ -64,6 +65,19 @@ def ordered_forests(n: int) -> tuple[OrderedForest, ...]:
 @lru_cache(maxsize=None)
 def endofunctions(n: int) -> tuple[Endofunction, ...]:
     return tuple(enumerate_endofunctions(n))
+
+
+def cycle_vertices(f: Endofunction) -> set[int]:
+    """v lies on a cycle iff f^k(v) = v for some 1 <= k <= n."""
+    on_cycle = set()
+    for v in range(1, f.n + 1):
+        w = v
+        for _ in range(f.n):
+            w = f(w)
+            if w == v:
+                on_cycle.add(v)
+                break
+    return on_cycle
 
 
 def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
@@ -223,6 +237,18 @@ COPRODUCTS = {
 
 
 # Compatible words, letter by letter: the library enumerates their codes.
+
+def encode_word(word: Word, size: int) -> int:
+    k = size + 1
+    base = code_base(size)
+    code = 0
+    for letter in reversed(word):
+        side, i, j = letter
+        if side not in ("A", "B") or not 0 <= i <= size or not 1 <= j <= size:
+            raise StructureError(f"letter {letter!r} is not a letter at truncation {size}")
+        code = code * base + ((side == "B") * k + i) * k + j
+    return code
+
 
 def _traversal_order(forest: OrderedForest) -> list[int]:
     kids = forest.children()

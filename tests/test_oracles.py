@@ -16,7 +16,6 @@ from treehopf.realization import (
     FAMILIES,
     NCPolynomial,
     decode_word,
-    encode_word,
     family,
     group_doubled,
     iter_endofunction_words,
@@ -33,6 +32,7 @@ from treehopf.structures import (
     Permutation,
     RootedForest,
     StructureError,
+    cycle_vertices,
     enumerate_admissible_cuts,
     enumerate_ordered_forests,
     enumerate_packed_words,
@@ -178,7 +178,7 @@ def test_decoded_words_match_the_oracle(max_degree, size):
         assert len(set(got)) == len(got), (version, key, doubled)
         assert sorted(got) == want, (version, key, doubled)
         for word in want:
-            assert decode_word(encode_word(word, size), size) == word
+            assert decode_word(oracles.encode_word(word, size), size) == word
 
 
 @pytest.mark.parametrize("max_degree, size", [(3, 3), (4, 2)])
@@ -313,13 +313,6 @@ def test_realization_checks_match_the_oracle_on_faulty_word_lists(fault, monkeyp
     assert pair_counts
 
 
-def polynomial_sum(p, q):
-    out = dict(p)
-    for w, c in q.items():
-        out[w] = out.get(w, 0) + c
-    return {w: c for w, c in out.items() if c}
-
-
 def polynomial_product(p, q):
     out = {}
     for w1, c1 in p.items():
@@ -330,25 +323,33 @@ def polynomial_product(p, q):
 
 def test_mixed_size_polynomials_agree_with_their_decoded_terms():
     fam = family("v2")
-    small = fam.realize(OrderedForest((0, 1)), 2)
-    large = fam.realize(OrderedForest((0, 1)), 4)
-    recoded = NCPolynomial.from_codes({encode_word(w, 4): c for w, c in small.terms.items()}, 4)
-    rebuilt = NCPolynomial(small.terms)
-    mixed = 2 * small + (-1) * fam.realize(OrderedForest((0,)), 3)  # words of lengths 1 and 2
-    assert [p.size for p in (small, large, recoded, rebuilt, mixed)] == [2, 4, 4, 2, 3]
-    polys = [small, large, recoded, rebuilt, mixed, NCPolynomial()]
+    one = fam.realize(OrderedForest((0, 1)), 3)
+    rebuilt = NCPolynomial({oracles.encode_word(w, 3): c for w, c in one.terms.items()}, 3)
+    # words of lengths 1 and 2: the product takes its general path
+    mixed = fam.realize(FreeElement("ho", {OrderedForest((0, 1)): 2, OrderedForest((0,)): -1}), 3)
+    polys = [one, rebuilt, mixed, fam.realize(OrderedForest((0,)), 3), NCPolynomial({}, 3)]
     for p in polys:
         for q in polys:
-            assert (p == q) == (p.terms == q.terms), (p.size, q.size)
-            if p == q:
-                assert hash(p) == hash(q)
-            assert (p + q).terms == polynomial_sum(p.terms, q.terms)
+            assert (p == q) == (p.terms == q.terms)
             assert (p * q).terms == polynomial_product(p.terms, q.terms)
-    assert small == recoded == rebuilt and small != large
-    assert mixed + (-1) * mixed == NCPolynomial()
+    assert one == rebuilt
+    with pytest.raises(TypeError):
+        hash(one)
+    # the same letter words at two truncations
+    small = fam.realize(OrderedForest((0,)), 1)
+    recoded = NCPolynomial({oracles.encode_word(w, 2): c for w, c in small.terms.items()}, 2)
+    assert small.terms == recoded.terms and small != recoded
+    with pytest.raises(StructureError, match="truncated at 1 and 2"):
+        small * recoded
 
 
 def test_letters_outside_the_alphabet_are_rejected():
-    for letter in (("C", 1, 2), ("A", 1, 0), ("A", -1, 2)):
+    for letter in (("C", 1, 2), ("A", 1, 0), ("A", -1, 2), ("A", 1, 3)):
         with pytest.raises(StructureError):
-            NCPolynomial({(letter,): 1})
+            oracles.encode_word((letter,), 2)
+
+
+def test_cycle_vertices_match_the_oracle():
+    for n in range(7):
+        for f in oracles.endofunctions(n):
+            assert cycle_vertices(f) == oracles.cycle_vertices(f), f
