@@ -156,6 +156,14 @@ COMMANDS = {
 }
 
 
+def degree(text: str) -> int:
+    """A ``--max-degree`` value: an integer, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treehopf",
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimensions of the graded components")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=degree, required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*verify.SUITES, "all"],
         required=True,
     )
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=degree, default=3)
     return parser
 
 

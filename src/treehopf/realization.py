@@ -24,6 +24,10 @@ letter restarts like a root's (loop for v2, free first subscript otherwise).
 Truncation is controlled by N: all subscripts lie in {1..N} ({0..N} for the
 first subscripts of v1 root letters).  Product and doubling identities are
 exact at every N; linear independence needs N large enough (2n+2 suffices).
+Each key owns a witness word of its S^x, read from the same steps as its
+words; ``rank_check`` proves independence on the witnesses' columns, one
+key's words at a time, and eliminates every realized row only when that
+proof fails.
 
 Words are integers inside the engine.  At truncation N let K = N + 1; the
 letter (side, i, j) has the code ((side == "B") * K + i) * K + j, which is
@@ -167,8 +171,9 @@ _REVERSED = {">": "<", "!=": "!="}
 def _steps(
     parent: Sequence[int], side: Sequence[int], relation: str | None, root: str, size: int
 ) -> list:
-    """The variables of one side's letters as (weight, lo, hi, relations)
-    steps; a relation (op, t) compares the value with the earlier step t.
+    """The variables of one side's letters as (weight, lo, hi, relations,
+    free) steps; a relation (op, t) compares the value with the earlier step
+    t, and ``free`` marks the free first subscript of a root-like letter.
     Letters are coded by their rank on the side, as A letters."""
     k = size + 1
     base = code_base(size)
@@ -209,11 +214,11 @@ def _steps(
     step_of: dict[int, int] = {}
     for v in order:
         step_of[v] = len(steps)
-        steps.append((coef[v], 1, size, [(op, step_of[u]) for op, u in relations[v]]))
+        steps.append((coef[v], 1, size, [(op, step_of[u]) for op, u in relations[v]], False))
         if parent[v - 1] not in weight and root != "loop":
             # the free first subscript of a root-like letter
             lo, op = (0, "<") if root == "below" else (1, "!=")
-            steps.append((k * weight[v], lo, size, [(op, step_of[v])]))
+            steps.append((k * weight[v], lo, size, [(op, step_of[v])], True))
     return steps
 
 
@@ -222,12 +227,12 @@ def _assign(steps: list) -> list[int]:
     its weight, summed.  Partial sums are grouped by the values later steps
     still compare against."""
     last: dict[int, int] = {}
-    for t, (_, _, _, relations) in enumerate(steps):
+    for t, (_, _, _, relations, _) in enumerate(steps):
         for _, u in relations:
             last[u] = t
     live: list[int] = []  # the steps whose values a group's state holds
     groups: dict[tuple, list[int]] = {(): [0]}
-    for t, (coef, lo, hi, relations) in enumerate(steps):
+    for t, (coef, lo, hi, relations, _) in enumerate(steps):
         slot = {u: i for i, u in enumerate(live)}
         checks = [(op, slot[u]) for op, u in relations]
         kept = [u for u in live + [t] if last.get(u, -1) > t]
@@ -255,11 +260,26 @@ def _assign(steps: list) -> list[int]:
     return groups.get((), [])
 
 
+def _witness(steps: list) -> int | None:
+    """The code of one assignment of the steps, or None when a value exceeds
+    its bound: the n main variables take 1..n in step order, and a free
+    first subscript takes a value none of them takes, its lower bound 0 (v1)
+    or n + 1 (func).  Preorder puts a parent before its child and the values
+    are distinct, so every relation holds."""
+    n = sum(not free for *_, free in steps)
+    main = iter(range(1, n + 1))
+    values = [(lo if lo < 1 else n + 1) if free else next(main) for _, lo, _, _, free in steps]
+    if any(y > hi for y, (_, _, hi, _, _) in zip(values, steps)):
+        return None
+    return sum(y * coef for y, (coef, *_) in zip(values, steps))
+
+
 def _regime(image_of: Callable[[Any], Sequence[int]], relation: str | None, root: str):
-    """The ``words`` slot of a family whose keys are the maps ``image_of``:
-    codes of S^x, or one (mask, A-subwords, B-subwords) block per closed set
-    over the doubled alphabet.  Each position is linked to its image; fixed
-    points are roots."""
+    """The ``words`` and ``witness`` slots of a family whose keys are the
+    maps ``image_of``: codes of S^x, or one (mask, A-subwords, B-subwords)
+    block per closed set over the doubled alphabet; and the code of one word
+    of S^x, read from the same steps.  Each position is linked to its image;
+    fixed points are roots."""
 
     def side_words(parent: Sequence[int], side: Sequence[int], size: int) -> list[int]:
         return _assign(_steps(parent, side, relation, root, size))
@@ -276,15 +296,22 @@ def _regime(image_of: Callable[[Any], Sequence[int]], relation: str | None, root
                 side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size),
             )
 
-    def words(key, size: int, doubled: bool = False) -> Iterable:
+    def parents(key, size: int) -> tuple[Sequence[int], list[int]]:
         _check_truncation(size)
         image = image_of(key)
-        parent = [0 if w == v else w for v, w in enumerate(image, start=1)]
+        return image, [0 if w == v else w for v, w in enumerate(image, start=1)]
+
+    def words(key, size: int, doubled: bool = False) -> Iterable:
+        image, parent = parents(key, size)
         if doubled:
             return doubled_words(image, parent, size)
         return side_words(parent, range(1, len(image) + 1), size)
 
-    return words
+    def witness(key, size: int) -> int | None:
+        image, parent = parents(key, size)
+        return _witness(_steps(parent, range(1, len(image) + 1), relation, root, size))
+
+    return words, witness
 
 
 def _interleave(blocks: Iterable[tuple[int, list, list]], n: int, size: int) -> Iterator[int]:
@@ -354,25 +381,31 @@ class RealizationFamily(NamedTuple):
     algebra's own (``ops``); ``words(key, size, doubled)`` lists the codes
     of S^x, or, when doubled, one (B mask, A-subword codes, B-subword codes)
     block per closed set, whose words are all the pairs of the two lists.
-    An ``internal`` family is left out of ``realize --version`` and of the
-    rank checks of the realization suite."""
+    ``witness(key, size)`` is the code of one word of S^x, or None when the
+    truncation leaves no room for it (see ``rank_check``).  An
+    ``internal`` family is left out of ``realize --version`` and of the rank
+    checks of the realization suite.  Calling a family realizes."""
 
     version: str
     algebra: str
     words: Callable[[Any, int, bool], Iterable]
+    witness: Callable[[Any, int], int | None]
     internal: bool = False
 
     @property
     def ops(self) -> AlgebraOps:
         return get_algebra(self.algebra)
 
+    def _tag_error(self, x) -> AlgebraTagError:
+        got = getattr(x, "algebra", type(x).__name__)
+        return AlgebraTagError(f"{self.version} realizes {self.algebra}, not {got}")
+
     def realize(self, x, size: int, doubled: bool = False) -> NCPolynomial:
         """S^x of a key, or the linear extension over an element's terms."""
         if isinstance(x, self.ops.key_type):
             x = FreeElement.from_key(self.algebra, x)
         elif not (isinstance(x, FreeElement) and x.algebra == self.algebra):
-            got = getattr(x, "algebra", type(x).__name__)
-            raise AlgebraTagError(f"{self.version} realizes {self.algebra}, not {got}")
+            raise self._tag_error(x)
 
         def codes(key):
             found = self.words(key, size, doubled)
@@ -388,14 +421,16 @@ class RealizationFamily(NamedTuple):
             terms = {w: c for w, c in terms.items() if c}
         return NCPolynomial(terms, size)
 
+    __call__ = realize
+
 
 FAMILIES: dict[str, RealizationFamily] = {
     fam.version: fam
     for fam in (
-        RealizationFamily("v1", "ho", _regime(forest_image, ">", "below")),
-        RealizationFamily("v2", "ho", _regime(forest_image, ">", "loop")),
-        RealizationFamily("func", "efsym", _regime(lambda f: f.image, "!=", "different")),
-        RealizationFamily("perm", "sgsym", _regime(lambda s: s.inverse().image, None, "loop"), internal=True),
+        RealizationFamily("v1", "ho", *_regime(forest_image, ">", "below")),
+        RealizationFamily("v2", "ho", *_regime(forest_image, ">", "loop")),
+        RealizationFamily("func", "efsym", *_regime(lambda f: f.image, "!=", "different")),
+        RealizationFamily("perm", "sgsym", *_regime(lambda s: s.inverse().image, None, "loop"), internal=True),
     )
 }
 
@@ -407,9 +442,9 @@ def family(version: str) -> RealizationFamily:
         raise StructureError(f"unknown realization version {version!r}") from None
 
 
-def realizer_for(version: str) -> Callable:
-    """Key realizer matching a letter regime."""
-    return family(version).realize
+def realizer_for(version: str) -> RealizationFamily:
+    """The family of a letter regime; calling it realizes a key."""
+    return family(version)
 
 
 def oplus_double(key, version: str, size: int) -> NCPolynomial:
@@ -505,8 +540,9 @@ def rank_of_rows(rows: Sequence[dict]) -> int:
     """Exact rank of sparse integer rows by fraction-free elimination.
 
     Columns owned by a single row are peeled first; they are pivots whose
-    elimination step is a no-op, which covers the realization families where
-    each basis element owns a reconstructing word.
+    elimination step is a no-op.  ``rank_check`` feeds it the witness
+    submatrix first, where each basis element owns its reconstructing word,
+    and every realized row only when that submatrix is singular.
     """
     live = [r for r in rows if r]  # rows are read, never changed in place
     rank = 0
@@ -556,11 +592,25 @@ class RankReport:
         return f"{self.label}: rank {self.rank} of {self.keys} ({verdict})"
 
 
-def rank_check(keys: Iterable, realize: Callable, size: int, label: str = "") -> RankReport:
-    """Exact rank of {realize(key, size)} as vectors over word codes."""
-    keys = list(keys)
-    rows = [realize(key, size).codes for key in keys]
-    return RankReport(label or f"N={size}", len(keys), rank_of_rows(rows))
+def rank_check(keys: Iterable, fam: RealizationFamily, size: int, label: str = "") -> RankReport:
+    """Exact rank of the S^x of ``keys`` as vectors over word codes.
+
+    Every key owns a witness word of its S^x (``RealizationFamily.witness``).
+    The columns of the witnesses form a k x k submatrix, built one key's
+    words at a time, and its rank is at most the full rank: when it is k the
+    S^x are independent.  Otherwise, or when a witness is missing or
+    repeated, every S^x is realized and eliminated by ``rank_of_rows``."""
+    keys, label = list(keys), label or f"N={size}"
+    for key in keys:
+        if not isinstance(key, fam.ops.key_type):
+            raise fam._tag_error(key)
+    column = {fam.witness(key, size): i for i, key in enumerate(keys)}
+    if None not in column and len(column) == len(keys):
+        rows = [{column[w]: 1 for w in column.keys() & fam.words(key, size)} for key in keys]
+        if rank_of_rows(rows) == len(keys):
+            return RankReport(label, len(keys), len(keys))
+    rows = [fam.realize(key, size).codes for key in keys]
+    return RankReport(label, len(keys), rank_of_rows(rows))
 
 
 # ---------------------------------------------------------------------------

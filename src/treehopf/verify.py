@@ -174,7 +174,7 @@ def suite_realization(max_degree: int = 3) -> list[Outcome]:
         if fam.internal:
             continue
         for d in range(1, min(max_degree, 3) + 1):
-            rep = rank_check(fam.ops.keys_of_degree(d), fam.realize, 2 * d + 2, label=f"{version} deg {d}")
+            rep = rank_check(fam.ops.keys_of_degree(d), fam, 2 * d + 2, label=f"{version} deg {d}")
             out.append(
                 (f"realize-rank[{version}] deg {d} N={2 * d + 2}", rep.full, rep.summary())
             )

@@ -291,6 +291,23 @@ def test_wqsym_coproduct_takes_the_m_basis(capsys, tmp_path):
     assert code == 0 and json.loads(out)["basis"] == "M" and len(json.loads(out)["terms"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("dims", "--algebra", "ho", "--max-degree", "-1"),
+    ("verify", "--suite", "all", "--max-degree", "-2"),
+    ("dims", "--algebra", "ho", "--max-degree", "two"),
+])
+def test_max_degree_must_be_a_natural_number(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --max-degree:" in captured.err
+
+
+def test_max_degree_zero_is_degree_zero(capsys):
+    assert run(capsys, "dims", "--algebra", "ho", "--max-degree", "0") == (0, "1\n", "")
+
+
 def test_config_bound_is_respected(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"enumeration_bound": 2}))

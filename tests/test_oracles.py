@@ -22,6 +22,8 @@ from treehopf.realization import (
     iter_forest_words,
     iter_permutation_words,
     pi_image,
+    rank_check,
+    rank_of_rows,
 )
 from treehopf.structures import (
     EnumerationBoundError,
@@ -206,6 +208,22 @@ def test_doubled_triples_split_the_oracle_words_by_side(max_degree, size):
                 assert len(decode_word(a, size)) == key.n - mask.bit_count()
             for b in b_codes:
                 assert len(decode_word(b, size)) == mask.bit_count()
+
+
+RANK_CASES = [
+    *((version, d, 2 * d + 2) for version in sorted(FAMILIES) for d in (1, 2, 3)),
+    ("v2", 4, 10),
+    ("perm", 4, 10),
+    ("func", 4, 6),
+]
+
+
+@pytest.mark.parametrize("version, degree, size", RANK_CASES)
+def test_rank_check_matches_the_rank_of_every_row(version, degree, size):
+    fam = family(version)
+    keys = fam.ops.keys_of_degree(degree)
+    rows = [fam.realize(key, size).codes for key in keys]
+    assert rank_check(keys, fam, size).rank == rank_of_rows(rows)
 
 
 # ---------------------------------------------------------------------------

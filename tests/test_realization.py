@@ -7,7 +7,9 @@ from treehopf.algebra import AlgebraTagError, FreeElement, accumulate
 from treehopf.realization import (
     FAMILIES,
     NCPolynomial,
+    code_base,
     commutative_image,
+    decode_word,
     family,
     pi_image,
     polynomial_to_json,
@@ -144,6 +146,8 @@ def test_realize_rejects_a_key_of_another_algebra():
     for version, key in cases:
         with pytest.raises(AlgebraTagError, match=f"{version} realizes"):
             family(version).realize(key, 3)
+        with pytest.raises(AlgebraTagError, match=f"{version} realizes"):
+            rank_check([key], family(version), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +236,59 @@ def test_rank_check_families_degree_2():
 
 def test_rank_check_accepts_a_generator_of_keys():
     fam = family("v2")
-    rep = rank_check((k for k in fam.ops.keys_of_degree(2)), fam.realize, 6)
+    rep = rank_check((k for k in fam.ops.keys_of_degree(2)), fam, 6)
     assert rep.summary() == "N=6: rank 3 of 3 (independent)"
+
+
+def witness_cases():
+    for version, fam in FAMILIES.items():
+        for d in range(5):
+            yield fam, fam.ops.keys_of_degree(d), 6 if (version, d) == ("func", 4) else 2 * d + 2
+
+
+def test_witnesses_are_distinct_words_of_their_realizations():
+    for fam, keys, size in witness_cases():
+        witnesses = [fam.witness(key, size) for key in keys]
+        assert len(set(witnesses)) == len(keys), (fam.version, size)
+        for key, w in zip(keys, witnesses):
+            assert w in fam.words(key, size), (fam.version, key)
+            seconds = [j for _, _, j in decode_word(w, size)]
+            assert len(set(seconds)) == len(seconds) == key.n, (fam.version, key)
+
+
+def oracle_rank(fam, keys, size):
+    return rank_of_rows([fam.realize(key, size).codes for key in keys])
+
+
+def test_rank_check_falls_back_on_a_repeated_key():
+    fam = family("v2")
+    keys = [*fam.ops.keys_of_degree(2), OrderedForest((0, 1))]
+    rep = rank_check(keys, fam, 6)
+    assert (rep.rank, rep.keys) == (3, 4)
+    assert rep.summary() == "N=6: rank 3 of 4 (DEPENDENT)"
+
+
+def test_rank_check_falls_back_when_a_witness_is_missing():
+    # At N = n a fixed point leaves no value for its free first subscript.
+    fam = family("func")
+    keys = fam.ops.keys_of_degree(3)
+    assert fam.witness(Endofunction((1, 2, 3)), 3) is None
+    rep = rank_check(keys, fam, 3)
+    assert rep.rank == oracle_rank(fam, keys, 3) == 24
+    assert not rep.full
+
+
+@pytest.mark.parametrize("version", sorted(FAMILIES))
+def test_rank_check_does_not_trust_a_wrong_witness(version):
+    fam = FAMILIES[version]
+    keys = fam.ops.keys_of_degree(3)
+    base = code_base(8)
+    constant = fam._replace(witness=lambda key, size: 1)
+    # one more letter: distinct words, each outside every S^x of degree 3
+    outside = fam._replace(witness=lambda key, size: fam.witness(key, size) + base**key.n)
+    for wrong in (constant, outside):
+        assert rank_check(keys, wrong, 8).rank == oracle_rank(fam, keys, 8) == len(keys)
+    assert rank_check(keys, constant, 2).rank == oracle_rank(fam, keys, 2) < len(keys)
 
 
 # ---------------------------------------------------------------------------
