@@ -315,9 +315,10 @@ def check_bialgebra_compat(tag: str, max_degree: int, sample_degree: int | None 
 _ANTIPODE_CACHE: dict[tuple[str, Any], FreeElement] = {}
 
 
-def _antipode(ops: AlgebraOps, key, product: Callable, coproduct: Callable) -> FreeElement:
-    """antipode_key with ``product`` and ``coproduct`` as the key kernels."""
-    cached = _ANTIPODE_CACHE.get((ops.tag, key))
+def _antipode(ops: AlgebraOps, key, product: Callable, coproduct: Callable, cache: dict) -> FreeElement:
+    """antipode_key with ``product`` and ``coproduct`` as the key kernels,
+    memoized in ``cache``."""
+    cached = cache.get((ops.tag, key))
     if cached is not None:
         return cached
     if key.n == 0:
@@ -328,10 +329,10 @@ def _antipode(ops: AlgebraOps, key, product: Callable, coproduct: Callable) -> F
     for (a, b), coeff in coproduct(key).terms.items():
         if a.n == 0 or b.n == 0:
             continue  # reduced coproduct only
-        for k, c in _antipode(ops, a, product, coproduct).terms.items():
+        for k, c in _antipode(ops, a, product, coproduct, cache).terms.items():
             accumulate(acc, product(k, b).terms, -coeff * c)
     result = FreeElement(ops.tag, acc)
-    _ANTIPODE_CACHE[(ops.tag, key)] = result
+    cache[(ops.tag, key)] = result
     return result
 
 
@@ -339,7 +340,7 @@ def antipode_key(tag: str, key) -> FreeElement:
     """Recursive antipode of a graded connected bialgebra on a basis key:
     S(1) = 1 and S(x) = -x - sum S(x') x'' over the reduced coproduct."""
     ops = get_algebra(tag)
-    return _antipode(ops, key, ops.product, ops.coproduct)
+    return _antipode(ops, key, ops.product, ops.coproduct, _ANTIPODE_CACHE)
 
 
 def antipode(x: FreeElement) -> FreeElement:
@@ -351,16 +352,19 @@ def antipode(x: FreeElement) -> FreeElement:
 
 def check_antipode(tag: str, max_degree: int) -> CheckReport:
     """Convolution identity (id * S)(key) = unit.counit(key) for degrees
-    1..max; S * id holds by the construction of S (module docstring)."""
+    1..max; S * id holds by the construction of S (module docstring).  S is
+    memoized for this call only, like the kernel tables, so earlier
+    ``antipode_key`` calls cannot change the verdict."""
     ops = get_algebra(tag)
     report = CheckReport("antipode-convolution", ops.tag)
     product, coproduct = _tabled(ops.product), _tabled(ops.coproduct)
+    antipodes: dict = {}
     for n in range(1, max_degree + 1):
         for key in ops.keys_of_degree(n):
             report.checked += 1
             conv: dict = {}
             for (a, b), coeff in coproduct(key).terms.items():
-                for k, c in _antipode(ops, b, product, coproduct).terms.items():
+                for k, c in _antipode(ops, b, product, coproduct, antipodes).terms.items():
                     accumulate(conv, product(a, k).terms, coeff * c)
             if any(conv.values()):  # counit vanishes in positive degree
                 report.failures.append(key.render())

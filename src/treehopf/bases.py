@@ -34,7 +34,6 @@ from .structures import (
     RootedForest,
     acyclic_parent_vectors,
     canonicalize,
-    plane_to_ordered,
 )
 
 # The R expansions and products are built term by term, but an output can
@@ -107,7 +106,7 @@ def r_product_forest(left: OrderedForest, right: OrderedForest) -> FreeElement:
 
 def r_commutative(forest: RootedForest) -> FreeElement:
     """Image of R_F in the commutative algebra, independent of the labelling."""
-    labelled = plane_to_ordered(forest.as_plane())
+    labelled = OrderedForest(forest.parent)
     out: dict = {}
     for g, coeff in r_from_s_forest(labelled).terms.items():
         shape = canonicalize(g)

@@ -4,8 +4,9 @@
   disjoint union, coproduct sums Roo (x) Lea over admissible cuts.
 * ``ho``  -- noncommutative algebra on ordered forests; product shifts the
   second factor's labels, coproduct cuts and re-standardizes both parts.
-* ``nck`` -- noncommutative algebra on plane forests, transported through
-  the canonical left depth-first labelling.
+* ``nck`` -- noncommutative algebra on plane forests, each stored as the
+  parent vector of its depth-first labelling; product and coproduct are
+  those of ``ho`` on these vectors.
 
 All three cut along the preimage-closed vertex sets of f_F (each vertex to
 its parent, each root to itself), the rule shared with the endofunctions.
@@ -29,6 +30,7 @@ from .structures import (
     forest_from_image,
     forest_image,
     ordered_to_plane,
+    shifted_parents,
 )
 
 CUTS = "admissible cut enumeration"
@@ -39,9 +41,7 @@ CUTS = "admissible cut enumeration"
 
 def ho_product(left: OrderedForest, right: OrderedForest) -> OrderedForest:
     """Disjoint union with the right factor's labels shifted up by |left|."""
-    shift = left.n
-    shifted = tuple(0 if p == 0 else p + shift for p in right.parent)
-    return OrderedForest(left.parent + shifted)
+    return OrderedForest(left.parent + shifted_parents(right.parent, left.n))
 
 
 def ho_coproduct(forest: OrderedForest) -> TensorElement:
@@ -53,9 +53,7 @@ def nwarrow(left: OrderedForest, right: OrderedForest) -> OrderedForest:
     """Graft ``right`` (shifted by |left|) onto the greatest vertex of ``left``."""
     if left.n == 0:
         raise StructureError("nwarrow needs a nonempty left factor")
-    top = left.n
-    shifted = tuple(top if p == 0 else p + top for p in right.parent)
-    return OrderedForest(left.parent + shifted)
+    return OrderedForest(left.parent + shifted_parents(right.parent, left.n, left.n))
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +76,18 @@ def ck_coproduct(forest: RootedForest) -> TensorElement:
 # ---------------------------------------------------------------------------
 
 def nck_product(left: PlaneForest, right: PlaneForest) -> PlaneForest:
-    return PlaneForest(left.trees + right.trees)
+    """Concatenation: the shifted union of :func:`ho_product` on the
+    depth-first labels."""
+    return PlaneForest(left.parent + shifted_parents(right.parent, left.n))
 
 
 def nck_coproduct(forest: PlaneForest) -> TensorElement:
-    """Cut in the ordered labelling and read both factors back as plane forests.
+    """Cut f_F of the depth-first labelling and read both factors back as
+    plane forests.
 
-    The canonical labelling is chosen so that every cut of the image of a
-    plane forest standardizes to the image of a plane forest; readback fails
-    loudly if that ever breaks.
+    Every closed set of a depth-first labelling standardizes to a
+    depth-first labelling again, so both parts are plane forests; the
+    ``PlaneForest`` constructor fails loudly if that ever breaks.
     """
     image = forest_image(forest)
     return TensorElement("nck", cut_terms(image, lambda part: ordered_to_plane(forest_from_image(part)), CUTS))

@@ -36,6 +36,7 @@ from .structures import (
     pack,
     plane_to_ordered,
     relabel_forest,
+    shifted_parents,
 )
 from .forests import ho_product
 from .words import b_endomorphism  # noqa: F401  (re-export beside b_plus)
@@ -61,17 +62,14 @@ __all__ = [
 
 
 def b_plus(x):
-    """Connect the trees of a forest to a new common root.
+    """Connect the trees of an ordered or plane forest to a new common root.
 
-    For an ordered forest the new root is the smallest vertex (old labels
-    shift up by one); for a plane forest child order is preserved.
+    The new root is vertex 1 and the old labels shift up by one; on the
+    depth-first labels of a plane forest this keeps the child order.
     """
-    if isinstance(x, OrderedForest):
-        shifted = tuple(1 if p == 0 else p + 1 for p in x.parent)
-        return OrderedForest((0,) + shifted)
-    if isinstance(x, PlaneForest):
-        return PlaneForest((x.trees,))
-    raise StructureError(f"b_plus applies to forests, not {type(x).__name__}")
+    if not isinstance(x, (OrderedForest, PlaneForest)):
+        raise StructureError(f"b_plus applies to forests, not {type(x).__name__}")
+    return type(x)((0,) + shifted_parents(x.parent, 1, 1))
 
 
 def minimal_admissible_word(forest: OrderedForest) -> PackedWord:
@@ -131,18 +129,19 @@ def plane_to_parking(plane: PlaneForest) -> Endofunction:
     once subtrees of unequal shape flank each other, so this is a different
     injection of plane forests into ordered structures.
     """
-    next_id = 0
-    order: list[tuple[int, int]] = []  # (vertex label, parent label or 0)
-    for tree in plane.trees:
-        queue = [(tree, 0)]
-        while queue:
-            next_queue = []
-            for node, parent_id in queue:
-                next_id += 1
-                order.append((next_id, parent_id))
-                next_queue.extend((sub, next_id) for sub in node)
-            queue = next_queue
-    return Endofunction(tuple(p if p else v for v, p in order))
+    kids: list[list[int]] = [[] for _ in range(plane.n + 1)]  # in depth-first order
+    for v, p in enumerate(plane.parent, start=1):
+        kids[p].append(v)
+    label = [0] * (plane.n + 1)  # level-order label of each depth-first vertex; 0 for none
+    image: list[int] = []
+    for root in kids[0]:
+        level = [root]
+        while level:
+            for v in level:
+                label[v] = len(image) + 1
+                image.append(label[plane.parent[v - 1]] or label[v])
+            level = [c for v in level for c in kids[v]]
+    return Endofunction(tuple(image))
 
 
 # ---------------------------------------------------------------------------

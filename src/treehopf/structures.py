@@ -18,9 +18,12 @@ Text formats (bit-exact):
   lexicographically sorted child forms + ``")"``, trees sorted
   lexicographically and space-separated.
 
+Every forest key stores or carries a parent vector ``parent``: an ordered
+forest is its vector, a plane forest the vector of its depth-first labelling,
+and an unlabelled forest the depth-first labelling of its canonical string.
 Every key is read as a map on {1..n}: an endofunction is its image vector,
-a forest its f_F (each vertex to its parent, each root to itself; plane and
-unlabelled forests through the depth-first labelling, :func:`forest_image`).
+a forest its f_F (each vertex to its parent, each root to itself,
+:func:`forest_image`).
 The five cut coproducts split a key along the preimage-closed vertex sets of
 its map (:func:`cut_terms`), and the realization regimes link each position
 to its image.  Forests with prescribed parent choices (all forests, the
@@ -31,6 +34,7 @@ parent-vector search (:func:`acyclic_parent_vectors`).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -65,12 +69,13 @@ def _split_tokens(text: str) -> list[str]:
 
 
 def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
+    """Space-separated tokens of ASCII digits; signs, underscores and the
+    digits of other scripts, all of which ``int`` accepts, are rejected."""
     values = []
     for pos, token in enumerate(_split_tokens(text), start=1):
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise FormatError(f"{what}: expected an integer, got {token!r}", pos) from None
+        if not re.fullmatch(r"[0-9]+", token):
+            raise FormatError(f"{what}: expected a natural number, got {token!r}", pos)
+        values.append(int(token))
     return tuple(values)
 
 
@@ -207,12 +212,10 @@ def mask_vertices(mask: int) -> list[int]:
 def forest_image(forest: OrderedForest | PlaneForest | RootedForest) -> tuple[int, ...]:
     """f_F: each vertex goes to its parent, each root to itself.
 
-    Plane and unlabelled forests are read through the depth-first labelling
-    of a plane representative (:func:`plane_to_ordered`); the cut rule only
-    needs some labelling, and the parts are read back into the key's kind.
+    Every forest key has a ``parent`` vector; for plane and unlabelled
+    forests it is a depth-first labelling.  The cut rule only needs some
+    labelling, and the parts are read back into the key's kind.
     """
-    if not isinstance(forest, OrderedForest):
-        forest = plane_to_ordered(forest.as_plane())
     return tuple(p or v for v, p in enumerate(forest.parent, start=1))
 
 
@@ -287,126 +290,95 @@ def enumerate_admissible_cuts(forest, bound: int | None = None) -> list[frozense
 # Plane forests
 # ---------------------------------------------------------------------------
 
-# A plane tree is the tuple of its subtrees; a plane forest the tuple of its
-# trees.  Child order is significant.
+# A plane forest is stored as the parent vector of its depth-first ("up-left")
+# labelling: trees left to right, each vertex numbered before its subtrees,
+# children left to right.  The vectors that arise are exactly those in which
+# each parent is 0 or lies on the path from the previous vertex to its root.
 
 @dataclass(frozen=True)
 class PlaneForest:
-    trees: tuple
-    __slots__ = ("trees", "_hash")
+    parent: tuple[int, ...]
+    __slots__ = ("parent", "_hash")
 
     def __post_init__(self):
-        def check(tree):
-            if not isinstance(tree, tuple):
-                raise StructureError("plane trees must be nested tuples")
-            for sub in tree:
-                check(sub)
-
-        if not isinstance(self.trees, tuple):
-            raise StructureError("a plane forest is a tuple of trees")
-        for tree in self.trees:
-            check(tree)
-        object.__setattr__(self, "_hash", hash((self.trees,)))
+        path: list[int] = []  # the previous vertex and its ancestors, root first
+        for v, p in enumerate(self.parent, start=1):
+            while path and path[-1] != p:
+                path.pop()
+            if p != 0 and not path:
+                raise StructureError(f"parent {p} of vertex {v} is not on the path from vertex {v - 1} to its root")
+            path.append(v)
+        object.__setattr__(self, "_hash", hash((self.parent,)))
 
     def __hash__(self):
         return self._hash
 
     @property
     def n(self) -> int:
-        def size(tree):
-            return 1 + sum(size(sub) for sub in tree)
-
-        return sum(size(t) for t in self.trees)
+        return len(self.parent)
 
     def render(self) -> str:
-        def rec(tree):
-            return "(" + "".join(rec(sub) for sub in tree) + ")"
-
-        return " ".join(rec(t) for t in self.trees)
+        return _bracketed(self.parent, list)
 
     @classmethod
     def parse(cls, text: str) -> "PlaneForest":
-        trees = []
+        parent: list[int] = []
         for pos, token in enumerate(_split_tokens(text), start=1):
-            stack: list[list] = [[]]
+            path: list[int] = []
+            trees = 0
             for ch in token:
                 if ch == "(":
-                    stack.append([])
+                    trees += not path
+                    parent.append(path[-1] if path else 0)
+                    path.append(len(parent))
                 elif ch == ")":
-                    if len(stack) == 1:
+                    if not path:
                         raise FormatError("unbalanced ')'", pos)
-                    done = stack.pop()
-                    stack[-1].append(tuple(done))
+                    path.pop()
                 else:
                     raise FormatError(f"unexpected character {ch!r}", pos)
-            if len(stack) != 1:
+            if path:
                 raise FormatError("unbalanced '('", pos)
-            if len(stack[0]) != 1:
+            if trees != 1:
                 raise FormatError("each token must be a single tree", pos)
-            trees.append(stack[0][0])
-        return cls(tuple(trees))
-
-    def as_plane(self) -> "PlaneForest":
-        return self
+        return cls(tuple(parent))
 
     def sort_key(self):
         return (self.n, self.render())
 
 
+def shifted_parents(parent: Sequence[int], by: int, root: int = 0) -> tuple[int, ...]:
+    """``parent`` with every label raised by ``by`` and each root given the
+    parent ``root``: the right factor of a shifted union or a grafting."""
+    return tuple(p + by if p else root for p in parent)
+
+
 def enumerate_plane_forests(n: int, bound: int | None = None) -> list[PlaneForest]:
-    """All plane forests with n vertices (Catalan many), deterministic order."""
+    """All plane forests with n vertices (Catalan many): by the size of the
+    first tree, then its subforest, then the rest of the forest."""
     _check_bound(n, bound, "plane forest enumeration")
-    return [PlaneForest(trees) for trees in _plane_forest_shapes(n)]
+    return [PlaneForest(parent) for parent in _plane_vectors(n)]
 
 
 @lru_cache(maxsize=None)
-def _plane_forest_shapes(n: int) -> tuple[tuple, ...]:
-    if n == 0:
-        return ((),)
-    out = []
+def _plane_vectors(n: int) -> tuple[tuple[int, ...], ...]:
+    out = [()] if n == 0 else []
     for first in range(1, n + 1):
-        for tree in _plane_tree_shapes(first):
-            for rest in _plane_forest_shapes(n - first):
-                out.append((tree,) + rest)
+        for below in _plane_vectors(first - 1):
+            tree = (0,) + shifted_parents(below, 1, 1)
+            out.extend(tree + shifted_parents(rest, first) for rest in _plane_vectors(n - first))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _plane_tree_shapes(n: int) -> tuple[tuple, ...]:
-    return _plane_forest_shapes(n - 1)
-
-
 def plane_to_ordered(plane: PlaneForest) -> OrderedForest:
-    """Canonical "up-left" labelling: left depth-first traversal, numbering
-    each vertex on first encounter."""
-    parent: list[int] = []
-
-    def visit(tree, parent_label: int):
-        parent.append(parent_label)
-        label = len(parent)
-        for sub in tree:
-            visit(sub, label)
-
-    for tree in plane.trees:
-        visit(tree, 0)
-    return OrderedForest(tuple(parent))
+    """The canonical "up-left" labelling, which is the stored parent vector."""
+    return OrderedForest(plane.parent)
 
 
 def ordered_to_plane(forest: OrderedForest) -> PlaneForest:
-    """Inverse of :func:`plane_to_ordered` on its image.
-
-    Children are read in increasing label order and trees in increasing root
-    order; raises if the input is not the canonical labelling of the result.
-    """
-    kids = forest.children()
-
-    def build(v: int):
-        return tuple(build(c) for c in sorted(kids[v]))
-
-    plane = PlaneForest(tuple(build(r) for r in forest.roots()))
-    if plane_to_ordered(plane) != forest:
-        raise StructureError(f"{forest.render()!r} is not a canonical plane labelling")
-    return plane
+    """Inverse of :func:`plane_to_ordered` on its image; raises
+    ``StructureError`` if the labels are not depth-first."""
+    return PlaneForest(forest.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +387,20 @@ def ordered_to_plane(forest: OrderedForest) -> PlaneForest:
 
 @dataclass(frozen=True)
 class RootedForest:
-    """Unlabelled rooted forest, stored by its canonical string form."""
+    """Unlabelled rooted forest, stored by its canonical string form.
+
+    ``parent`` is the depth-first labelling of that string read as a plane
+    forest, computed once when the string is validated.
+    """
 
     canonical: str
-    __slots__ = ("canonical", "_hash")
+    __slots__ = ("canonical", "parent", "_hash")
 
     def __post_init__(self):
-        if canonical_form(self.canonical) != self.canonical:
+        parent = PlaneForest.parse(self.canonical).parent
+        if canonical_form(parent) != self.canonical:
             raise StructureError(f"{self.canonical!r} is not in canonical form")
+        object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "_hash", hash((self.canonical,)))
 
     def __hash__(self):
@@ -430,48 +408,48 @@ class RootedForest:
 
     @property
     def n(self) -> int:
-        return sum(1 for ch in self.canonical if ch == "(")
+        return len(self.parent)
 
     def render(self) -> str:
         return self.canonical
 
     @classmethod
     def parse(cls, text: str) -> "RootedForest":
-        return cls(canonical_form(text))
-
-    def as_plane(self) -> PlaneForest:
-        """Some plane representative (the canonical string itself is one)."""
-        return PlaneForest.parse(self.canonical)
+        return cls(canonical_form(PlaneForest.parse(text).parent))
 
     def sort_key(self):
         return (self.n, self.canonical)
 
 
-def canonical_form(text: str) -> str:
-    """Canonical form of a paren-encoded forest: children sorted, trees sorted."""
-    plane = PlaneForest.parse(text)
+def _bracketed(parent: Sequence[int], arrange) -> str:
+    """The forest with this parent vector in parentheses: each tree is
+    ``"("`` + its child forms + ``")"``, trees space-separated, children
+    and trees taken in label order and put in order by ``arrange``."""
+    kids: list[list[int]] = [[] for _ in range(len(parent) + 1)]
+    for v, p in enumerate(parent, start=1):
+        kids[p].append(v)
 
-    def rec(tree) -> str:
-        return "(" + "".join(sorted(rec(sub) for sub in tree)) + ")"
+    def rec(v: int) -> str:
+        return "(" + "".join(arrange(rec(c) for c in kids[v])) + ")"
 
-    return " ".join(sorted(rec(t) for t in plane.trees))
+    return " ".join(arrange(rec(r) for r in kids[0]))
+
+
+def canonical_form(parent: Sequence[int]) -> str:
+    """Canonical string of the forest with this parent vector: child forms
+    sorted inside each tree, trees sorted."""
+    return _bracketed(parent, sorted)
 
 
 def canonicalize(forest: OrderedForest) -> RootedForest:
     """Forget the labels of an ordered forest."""
-    kids = forest.children()
-
-    def rec(v: int) -> str:
-        return "(" + "".join(sorted(rec(c) for c in kids[v])) + ")"
-
-    return RootedForest(" ".join(sorted(rec(r) for r in forest.roots())))
+    return RootedForest(canonical_form(forest.parent))
 
 
 def enumerate_rooted_forests(n: int, bound: int | None = None) -> list[RootedForest]:
     """All canonical forms on n vertices, via plane representatives."""
     _check_bound(n, bound, "rooted forest enumeration")
-    seen = sorted({canonicalize(plane_to_ordered(p)).canonical for p in enumerate_plane_forests(n, bound)})
-    return [RootedForest(s) for s in seen]
+    return [RootedForest(s) for s in sorted({canonical_form(p.parent) for p in enumerate_plane_forests(n, bound)})]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ way the definition reads; the library enumerates integer word codes, and
 ``encode_word`` codes a letter word the way the library's ``decode_word``
 reads it back.  The realization checks multiply whole polynomials and
 count every pair of doubled subwords; the library compares sorted word
-lists and rectangles of words.
+lists and rectangles of words.  Plane forests are nested tuples of
+subtrees here; the library stores the parent vector of their depth-first
+labelling.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from treehopf.structures import (
     OrderedForest,
     PackedWord,
     Permutation,
+    PlaneForest,
     StructureError,
     canonicalize,
     enumerate_endofunctions,
-    ordered_to_plane,
     pack,
-    plane_to_ordered,
 )
 
 
@@ -192,7 +193,8 @@ def _cut_coproduct(tag: str, image: tuple[int, ...], make) -> TensorElement:
     return TensorElement(tag, terms)
 
 
-def _parent_map(forest: OrderedForest) -> tuple[int, ...]:
+def _parent_map(forest) -> tuple[int, ...]:
+    """f_F of any forest key, read through its ``parent`` vector."""
     return tuple(p if p else v for v, p in enumerate(forest.parent, start=1))
 
 
@@ -225,15 +227,81 @@ def restrict_forest(forest: OrderedForest, vertices: Iterable[int]) -> OrderedFo
 
 COPRODUCTS = {
     "ho": lambda f: _cut_coproduct("ho", _parent_map(f), _forest),
-    "ck": lambda f: _cut_coproduct(
-        "ck", _parent_map(plane_to_ordered(f.as_plane())), lambda image: canonicalize(_forest(image))
-    ),
-    "nck": lambda f: _cut_coproduct(
-        "nck", _parent_map(plane_to_ordered(f)), lambda image: ordered_to_plane(_forest(image))
-    ),
+    "ck": lambda f: _cut_coproduct("ck", _parent_map(f), lambda image: canonicalize(_forest(image))),
+    "nck": lambda f: _cut_coproduct("nck", _parent_map(f), lambda image: plane_from_labelling(_forest(image))),
     "efsym": lambda f: _cut_coproduct("efsym", f.image, Endofunction),
     "sgsym": lambda s: _cut_coproduct("sgsym", s.image, Permutation),
 }
+
+
+# Plane forests as nested tuples: a tree is the tuple of its subtrees, a
+# forest the tuple of its trees, child order significant.  The library
+# stores the parent vector of the depth-first labelling instead.
+
+@lru_cache(maxsize=None)
+def plane_shapes(n: int) -> tuple[tuple, ...]:
+    """Every plane forest with n vertices: by the size of the first tree,
+    then its subforest, then the rest of the forest."""
+    if n == 0:
+        return ((),)
+    return tuple(
+        (tree,) + rest
+        for first in range(1, n + 1)
+        for tree in plane_shapes(first - 1)
+        for rest in plane_shapes(n - first)
+    )
+
+
+def plane_render(shape: tuple) -> str:
+    def rec(tree) -> str:
+        return "(" + "".join(rec(sub) for sub in tree) + ")"
+
+    return " ".join(rec(tree) for tree in shape)
+
+
+def plane_labelling(shape: tuple) -> tuple[int, ...]:
+    """Parent vector of the "up-left" labelling: left depth-first traversal,
+    numbering each vertex on first encounter."""
+    parent: list[int] = []
+
+    def visit(tree, parent_label: int):
+        parent.append(parent_label)
+        label = len(parent)
+        for sub in tree:
+            visit(sub, label)
+
+    for tree in shape:
+        visit(tree, 0)
+    return tuple(parent)
+
+
+def canonical_form(shape: tuple) -> str:
+    """Children sorted, trees sorted: one string per unlabelled forest."""
+
+    def rec(tree) -> str:
+        return "(" + "".join(sorted(rec(sub) for sub in tree)) + ")"
+
+    return " ".join(sorted(rec(tree) for tree in shape))
+
+
+def forest_shape(forest: OrderedForest) -> tuple:
+    """The nested tuples of an ordered forest: children by increasing label,
+    trees by increasing root."""
+    kids = forest.children()
+
+    def build(v: int) -> tuple:
+        return tuple(build(c) for c in sorted(kids[v]))
+
+    return tuple(build(r) for r in forest.roots())
+
+
+def plane_from_labelling(forest: OrderedForest) -> PlaneForest:
+    """The plane forest whose up-left labelling is ``forest``; raises
+    ``StructureError`` when ``forest`` is no such labelling."""
+    shape = forest_shape(forest)
+    if plane_labelling(shape) != forest.parent:
+        raise StructureError(f"{forest.render()!r} is not a canonical plane labelling")
+    return PlaneForest.parse(plane_render(shape))
 
 
 # Compatible words, letter by letter: the library enumerates their codes.

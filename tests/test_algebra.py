@@ -134,14 +134,21 @@ def test_convolution_identity_degrees_1_to_4():
         assert report.ok, report.summary()
 
 
-def test_antipode_check_and_antipode_key_agree(swap_kernels):
-    """check_antipode fills the antipode cache through its own tables with the
-    values antipode_key computes from the plain kernels."""
-    assert check_antipode("ho", 3).ok
-    from_check = dict(algebra._ANTIPODE_CACHE)
+def test_antipode_check_keeps_its_antipodes_to_itself(swap_kernels):
+    """check_antipode builds its antipodes from the kernels it checks, in a
+    cache of its own: it leaves antipode_key's cache untouched, and its
+    verdict is the same whether that cache is cold or warm."""
+    assert check_antipode("ho", 3).ok and not algebra._ANTIPODE_CACHE
+    for n in range(5):
+        for key in ALGEBRAS["ho"].keys_of_degree(n):
+            antipode_key("ho", key)
+    warm_cache = dict(algebra._ANTIPODE_CACHE)
+    swap_kernels("ho", coproduct=plus_one_coproduct("ho"))
+    warm = check_antipode("ho", 4).failures
+    assert algebra._ANTIPODE_CACHE == warm_cache
     algebra._ANTIPODE_CACHE.clear()
-    assert from_check == {(tag, key): antipode_key(tag, key) for tag, key in from_check}
-    assert len(from_check) == 1 + 3 + 16
+    cold = check_antipode("ho", 4).failures
+    assert warm == cold and len(cold) == 129 and not algebra._ANTIPODE_CACHE
 
 
 # ---------------------------------------------------------------------------

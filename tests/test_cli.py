@@ -271,6 +271,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "coproduct", "--algebra", "wqsym", s_word)[0] == 2
 
 
+@pytest.mark.parametrize("token", ["+1", "\u0661", "\uff101", "1_0"])
+def test_keys_take_only_ascii_digits(capsys, tmp_path, token):
+    x = write_element(tmp_path, "x.json", {
+        "algebra": "ho", "basis": "S", "terms": [{"coeff": "1", "key": f"0 {token}"}],
+    })
+    code, out, err = run(capsys, "coproduct", "--algebra", "ho", x)
+    assert code == 2 and out == "" and f"got {token!r} (at token 2)" in err
+    code, out, err = run(capsys, "realize", "--version", "v1", "--indices", "3", "--object", f"0 {token}")
+    assert code == 2 and out == "" and "(at token 2)" in err
+
+
 @pytest.mark.parametrize("payload", [
     {"algebra": "ho", "basis": "S", "terms": 5},
     {"algebra": 5, "basis": "S", "terms": []},

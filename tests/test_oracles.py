@@ -34,10 +34,16 @@ from treehopf.structures import (
     Permutation,
     RootedForest,
     StructureError,
+    canonicalize,
     cycle_vertices,
     enumerate_admissible_cuts,
     enumerate_ordered_forests,
     enumerate_packed_words,
+    enumerate_plane_forests,
+    enumerate_rooted_forests,
+    forest_image,
+    ordered_to_plane,
+    plane_to_ordered,
 )
 from treehopf.words import wqsym_product, wqsym_realize
 
@@ -54,6 +60,39 @@ def test_packed_words_match_the_oracle_in_order():
 def test_ordered_forests_match_the_oracle_in_order():
     for n in range(7):
         assert enumerate_ordered_forests(n) == list(oracles.ordered_forests(n)), n
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_plane_forests_match_the_nested_tuple_oracle_in_order(n):
+    shapes = oracles.plane_shapes(n)
+    planes = enumerate_plane_forests(n)
+    assert [p.render() for p in planes] == [oracles.plane_render(shape) for shape in shapes]
+    for plane, shape in zip(planes, shapes):
+        labelling = oracles.plane_labelling(shape)
+        assert PlaneForest.parse(plane.render()) == plane
+        assert plane.parent == plane_to_ordered(plane).parent == labelling
+        assert forest_image(plane) == oracles._parent_map(OrderedForest(labelling))
+    # an unlabelled forest reads its canonical string as a plane forest
+    shape_of = {oracles.plane_render(shape): shape for shape in shapes}
+    rooted = enumerate_rooted_forests(n)
+    assert [r.canonical for r in rooted] == sorted({oracles.canonical_form(shape) for shape in shapes})
+    for r in rooted:
+        labelling = oracles.plane_labelling(shape_of[r.canonical])
+        assert RootedForest.parse(r.canonical) == r and r.n == n
+        assert forest_image(r) == oracles._parent_map(OrderedForest(labelling))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_labelled_forests_match_the_nested_tuple_oracle(n):
+    for forest in oracles.ordered_forests(n):
+        assert canonicalize(forest).canonical == oracles.canonical_form(oracles.forest_shape(forest))
+        try:
+            expected = oracles.plane_from_labelling(forest)
+        except StructureError:
+            with pytest.raises(StructureError):
+                ordered_to_plane(forest)
+        else:
+            assert ordered_to_plane(forest) == expected
 
 
 def test_wqsym_realize_matches_the_oracle():
@@ -119,7 +158,7 @@ def test_ideals_and_cuts_match_the_oracle_in_order(n):
 NINE_VERTEX_KEYS = {
     "ho": OrderedForest((0,) * 9),
     "ck": RootedForest(" ".join(["()"] * 9)),
-    "nck": PlaneForest(((),) * 9),
+    "nck": PlaneForest((0,) * 9),
     "efsym": Endofunction(tuple(range(1, 10))),
     "sgsym": Permutation(tuple(range(1, 10))),
 }

@@ -170,6 +170,40 @@ def test_parse_errors_carry_positions():
     assert info.value.position == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("() (()", "unbalanced '(' (at token 2)"),
+    ("() ())", "unbalanced ')' (at token 2)"),
+    ("()) (x", "unbalanced ')' (at token 1)"),
+    ("(()) ()()", "each token must be a single tree (at token 2)"),
+    ("() (x)", "unexpected character 'x' (at token 2)"),
+    ("([])", "unexpected character '[' (at token 1)"),
+])
+def test_plane_parse_errors_name_the_token(text, message):
+    with pytest.raises(FormatError) as info:
+        PlaneForest.parse(text)
+    assert str(info.value) == message
+    with pytest.raises(FormatError) as info:
+        RootedForest.parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("token", ["+1", "\u0661", "\uff101", "1_0"])
+def test_integer_tokens_are_ascii_digits(token):
+    """``int`` reads a sign, other scripts' digits and underscores; a key does not."""
+    for cls in (OrderedForest, Endofunction, Permutation, PackedWord):
+        with pytest.raises(FormatError) as info:
+            cls.parse(f"1 {token}")
+        assert info.value.position == 2 and repr(token) in str(info.value)
+
+
+def test_plane_forests_are_depth_first_parent_vectors():
+    assert PlaneForest.parse("(()(())) ((())())").parent == (0, 1, 1, 3, 0, 5, 6, 5)
+    assert PlaneForest.parse("").parent == ()
+    for parent in [((),), (0, 2), (1,), (0, 0, 1), (0, 1, 0, 2), (-1,)]:
+        with pytest.raises(StructureError):
+            PlaneForest(parent)
+
+
 # ---------------------------------------------------------------------------
 # pack
 # ---------------------------------------------------------------------------
