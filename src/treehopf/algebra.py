@@ -3,7 +3,8 @@
 Elements are finite integer combinations of basis keys; every structure
 constant in this package is an integer, so any non-integer coefficient is a
 bug.  Concrete algebras register themselves in :data:`ALGEBRAS` with their
-key type, enumeration, product and coproduct, and the axiom checkers below
+key type, enumeration, product and coproduct (the five whose keys are maps
+on {1..n} through :func:`register_map_algebra`), and the axiom checkers below
 (coassociativity, product/coproduct compatibility, antipode convolution)
 work uniformly over the registry.  Each check call computes the coproduct of
 each key and the product of each key pair once, from tables that live only
@@ -20,6 +21,8 @@ import random
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
+
+from .structures import cut_terms
 
 
 class AlgebraTagError(ValueError):
@@ -144,6 +147,23 @@ ALGEBRAS: dict[str, AlgebraOps] = {}
 
 def register_algebra(ops: AlgebraOps) -> None:
     ALGEBRAS[ops.tag] = ops
+
+
+def register_map_algebra(tag: str, key_type: type, keys_of_degree: Callable[[int], Sequence],
+                         image: Callable, from_image: Callable, what: str) -> None:
+    """Register an algebra whose key x is read as the map ``image(x)`` on
+    {1..n} and rebuilt from a map by ``from_image``.  The product is shifted
+    concatenation of the maps; the coproduct is the cut rule
+    (:func:`~treehopf.structures.cut_terms`, bound errors naming ``what``)."""
+
+    def product(a, b) -> FreeElement:
+        shift = a.n
+        return FreeElement.from_key(tag, from_image(image(a) + tuple([w + shift for w in image(b)])))
+
+    def coproduct(x) -> TensorElement:
+        return TensorElement(tag, cut_terms(image(x), from_image, what))
+
+    register_algebra(AlgebraOps(tag, key_type, keys_of_degree, product, coproduct))
 
 
 def get_algebra(tag: str) -> AlgebraOps:

@@ -1,21 +1,25 @@
-"""EFSym on endofunctions and its SGSym permutation subalgebra.
+"""EFSym on endofunctions, its SGSym permutation subalgebra, and the
+membership predicates of further subfamilies.
 
-The product is shifted concatenation; the coproduct sums over the ideals of
-the functional graph (subsets closed under preimages), standardizing both
-the ideal part and its complement, where escaping values become fixed: the
-cut rule of :mod:`treehopf.structures`, shared with the forests through f_F.
-Ideals are plain vertex sets (frozensets), listed by :func:`ideals`.
+Both algebras are rows of :func:`~treehopf.algebra.register_map_algebra`: a
+key is its image vector, the product is shifted concatenation
+((f . g)(i) = f(i) on the first block, g shifted by |f| on the second), and
+the coproduct sums over the ideals of the functional graph (vertex sets
+closed under preimages), standardizing the ideal part and its complement,
+where escaping values become fixed.  That is the cut rule of
+:mod:`treehopf.structures`, shared with the forests through f_F; on a
+permutation the ideals are the unions of cycles, so ``sgsym`` splits
+cycles.  Ideals are plain vertex sets (frozensets), listed by :func:`ideals`.
 """
 
 from __future__ import annotations
 
-from .algebra import AlgebraOps, FreeElement, TensorElement, register_algebra
+from .algebra import register_map_algebra
 from .structures import (
     Endofunction,
     Permutation,
     StructureError,
     closed_subsets,
-    cut_terms,
     cycle_vertices,
     distance_to_cycle,
     enumerate_endofunctions,
@@ -25,12 +29,6 @@ from .structures import (
 )
 
 IDEALS = "ideal enumeration"
-
-
-def shifted_concat(f: Endofunction, g: Endofunction) -> Endofunction:
-    """(f . g)(i) = f(i) on the first block, g shifted by |f| on the second."""
-    shift = f.n
-    return Endofunction(f.image + tuple(v + shift for v in g.image))
 
 
 def ideals(f: Endofunction, bound: int | None = None) -> list[frozenset[int]]:
@@ -46,24 +44,6 @@ def std_restrict(f: Endofunction, subset) -> Endofunction:
     if any(v < 1 or v > f.n for v in keep):
         raise StructureError(f"{keep} is not a subset of the domain of {f.render()}")
     return Endofunction(restrict_image(f.image, keep))
-
-
-def efsym_coproduct(f: Endofunction) -> TensorElement:
-    """One term std(f^{[n] minus I}) (x) std(f^I) per ideal I of f."""
-    return TensorElement("efsym", cut_terms(f.image, Endofunction, IDEALS))
-
-
-# ---------------------------------------------------------------------------
-# SGSym: the permutation subalgebra with its own basis indexing
-# ---------------------------------------------------------------------------
-
-def sgsym_product(s: Permutation, t: Permutation) -> Permutation:
-    return Permutation(shifted_concat(s, t).image)
-
-
-def sgsym_coproduct(s: Permutation) -> TensorElement:
-    """Ideals of a permutation are unions of cycles, so this splits cycles."""
-    return TensorElement("sgsym", cut_terms(s.image, Permutation, IDEALS))
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +90,5 @@ def burnside_graphical(f: Endofunction, p: int, q: int) -> bool:
     return max(distance_to_cycle(f).values(), default=0) <= min(p, q)
 
 
-register_algebra(
-    AlgebraOps(
-        tag="efsym",
-        key_type=Endofunction,
-        keys_of_degree=enumerate_endofunctions,
-        product=lambda a, b: FreeElement.from_key("efsym", shifted_concat(a, b)),
-        coproduct=efsym_coproduct,
-    )
-)
-
-register_algebra(
-    AlgebraOps(
-        tag="sgsym",
-        key_type=Permutation,
-        keys_of_degree=enumerate_permutations,
-        product=lambda a, b: FreeElement.from_key("sgsym", sgsym_product(a, b)),
-        coproduct=sgsym_coproduct,
-    )
-)
+register_map_algebra("efsym", Endofunction, enumerate_endofunctions, lambda f: f.image, Endofunction, IDEALS)
+register_map_algebra("sgsym", Permutation, enumerate_permutations, lambda s: s.image, Permutation, IDEALS)

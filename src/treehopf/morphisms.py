@@ -38,7 +38,6 @@ from .structures import (
     relabel_forest,
     shifted_parents,
 )
-from .forests import ho_product
 from .words import b_endomorphism  # noqa: F401  (re-export beside b_plus)
 
 __all__ = [
@@ -95,7 +94,7 @@ def f_w_preimage(w: PackedWord) -> OrderedForest:
     a = w.letters
     if all(a[i] <= a[i + 1] for i in range(n - 1)):
         if a[0] == a[1]:
-            return ho_product(OrderedForest((0,)), f_w_preimage(PackedWord(a[1:])))
+            return OrderedForest((0,) + shifted_parents(f_w_preimage(PackedWord(a[1:])).parent, 1))
         return b_plus(f_w_preimage(pack(a[1:])))
     positions = sorted(range(n), key=lambda p: (a[p], p))
     sorted_word = pack(tuple(a[p] for p in positions))

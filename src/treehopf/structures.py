@@ -65,7 +65,9 @@ def _check_bound(n: int, bound: int | None, what: str) -> None:
 
 
 def _split_tokens(text: str) -> list[str]:
-    return text.split()
+    """Tokens separated by ASCII whitespace; other spaces, such as U+3000,
+    stay inside a token and fail its format check."""
+    return re.findall(r"[^ \t\n\r\f\v]+", text)
 
 
 def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
@@ -102,13 +104,21 @@ class OrderedForest:
                 raise StructureError(f"parent of vertex {v} out of range: {p}")
             if p == v:
                 raise StructureError(f"vertex {v} is its own parent")
+        # mark[w] is -1 once w is known to reach a root and v while w is on
+        # the chain from v: each walk stops at a vertex already known, and a
+        # cycle is named by its first repeated vertex from the smallest start.
+        mark = [-1] + [0] * n
         for v in range(1, n + 1):
-            seen = set()
-            while v != 0:
-                if v in seen:
-                    raise StructureError(f"parent vector contains a cycle through {v}")
-                seen.add(v)
-                v = self.parent[v - 1]
+            w = v
+            while not mark[w]:
+                mark[w] = v
+                w = self.parent[w - 1]
+            if mark[w] == v:
+                raise StructureError(f"parent vector contains a cycle through {w}")
+            w = v
+            while mark[w] == v:
+                mark[w] = -1
+                w = self.parent[w - 1]
         # Keys are hashed on every dict operation of the checks, so each key
         # hashes once, to the value the dataclass hash would give.  Slots
         # instead of an instance dict keep the cached hash from costing memory.
@@ -216,12 +226,14 @@ def forest_image(forest: OrderedForest | PlaneForest | RootedForest) -> tuple[in
     forests it is a depth-first labelling.  The cut rule only needs some
     labelling, and the parts are read back into the key's kind.
     """
-    return tuple(p or v for v, p in enumerate(forest.parent, start=1))
+    return tuple([p or v for v, p in enumerate(forest.parent, start=1)])
 
 
-def forest_from_image(image: Sequence[int]) -> OrderedForest:
-    """The forest with f_F = ``image``: its fixed points are the roots."""
-    return OrderedForest(tuple(0 if w == v else w for v, w in enumerate(image, start=1)))
+def forest_from_image(image: Sequence[int], kind: type = OrderedForest):
+    """The forest of type ``kind`` (ordered, or plane for a depth-first
+    labelling) whose parent vector has f_F = ``image``: its fixed points
+    are the roots."""
+    return kind(tuple([0 if w == v else w for v, w in enumerate(image, start=1)]))
 
 
 def closed_subsets(image: Sequence[int], bound: int | None = None, what: str = "closed sets") -> list[int]:
@@ -403,6 +415,16 @@ class RootedForest:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "_hash", hash((self.canonical,)))
 
+    @classmethod
+    def _of_canonical_form(cls, canonical: str) -> "RootedForest":
+        """The key of a string that :func:`canonical_form` returned: it is
+        canonical by construction, so only its vector is read off."""
+        key = object.__new__(cls)
+        object.__setattr__(key, "canonical", canonical)
+        object.__setattr__(key, "parent", PlaneForest.parse(canonical).parent)
+        object.__setattr__(key, "_hash", hash((canonical,)))
+        return key
+
     def __hash__(self):
         return self._hash
 
@@ -415,7 +437,7 @@ class RootedForest:
 
     @classmethod
     def parse(cls, text: str) -> "RootedForest":
-        return cls(canonical_form(PlaneForest.parse(text).parent))
+        return cls._of_canonical_form(canonical_form(PlaneForest.parse(text).parent))
 
     def sort_key(self):
         return (self.n, self.canonical)
@@ -428,11 +450,13 @@ def _bracketed(parent: Sequence[int], arrange) -> str:
     kids: list[list[int]] = [[] for _ in range(len(parent) + 1)]
     for v, p in enumerate(parent, start=1):
         kids[p].append(v)
-
-    def rec(v: int) -> str:
-        return "(" + "".join(arrange(rec(c) for c in kids[v])) + ")"
-
-    return " ".join(arrange(rec(r) for r in kids[0]))
+    order = [0]  # breadth-first from the roots, so children come after parents
+    for v in order:
+        order.extend(kids[v])
+    form = [""] * len(kids)
+    for v in reversed(order[1:]):  # each vertex after its children, no recursion
+        form[v] = "(" + "".join(arrange(form[c] for c in kids[v])) + ")"
+    return " ".join(arrange(form[r] for r in kids[0]))
 
 
 def canonical_form(parent: Sequence[int]) -> str:
@@ -443,13 +467,14 @@ def canonical_form(parent: Sequence[int]) -> str:
 
 def canonicalize(forest: OrderedForest) -> RootedForest:
     """Forget the labels of an ordered forest."""
-    return RootedForest(canonical_form(forest.parent))
+    return RootedForest._of_canonical_form(canonical_form(forest.parent))
 
 
 def enumerate_rooted_forests(n: int, bound: int | None = None) -> list[RootedForest]:
     """All canonical forms on n vertices, via plane representatives."""
     _check_bound(n, bound, "rooted forest enumeration")
-    return [RootedForest(s) for s in sorted({canonical_form(p.parent) for p in enumerate_plane_forests(n, bound)})]
+    forms = sorted({canonical_form(p.parent) for p in enumerate_plane_forests(n, bound)})
+    return [RootedForest._of_canonical_form(s) for s in forms]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ reads it back.  The realization checks multiply whole polynomials and
 count every pair of doubled subwords; the library compares sorted word
 lists and rectangles of words.  Plane forests are nested tuples of
 subtrees here; the library stores the parent vector of their depth-first
-labelling.
+labelling.  The products of the five map algebras are stated on each key
+type's own data (parent vectors, canonical strings, image vectors); the
+library shifts and concatenates the maps and reads the result back.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from treehopf.algebra import FreeElement, TensorElement
+from treehopf.algebra import FreeElement, TensorElement, get_algebra
 from treehopf.endo import std_restrict
 from treehopf.realization import Letter, Word, _check_truncation, code_base, family
 from treehopf.structures import (
@@ -29,6 +31,7 @@ from treehopf.structures import (
     PackedWord,
     Permutation,
     PlaneForest,
+    RootedForest,
     StructureError,
     canonicalize,
     enumerate_endofunctions,
@@ -231,6 +234,30 @@ COPRODUCTS = {
     "nck": lambda f: _cut_coproduct("nck", _parent_map(f), lambda image: plane_from_labelling(_forest(image))),
     "efsym": lambda f: _cut_coproduct("efsym", f.image, Endofunction),
     "sgsym": lambda s: _cut_coproduct("sgsym", s.image, Permutation),
+}
+
+
+def product_key(tag: str, a, b):
+    """The single key, with coefficient 1, of the registered product a . b."""
+    ((key, coeff),) = get_algebra(tag).product(a, b).terms.items()
+    assert coeff == 1, (tag, a, b, coeff)
+    return key
+
+
+# The products key by key, each in its own terms: parent vectors shifted for
+# ordered and plane forests, canonical trees sorted for unlabelled ones,
+# image vectors shifted for endofunctions and permutations.
+
+def _shifted_union(a, b) -> tuple[int, ...]:
+    return a.parent + tuple(p + a.n if p else 0 for p in b.parent)
+
+
+PRODUCTS = {
+    "ho": lambda a, b: OrderedForest(_shifted_union(a, b)),
+    "nck": lambda a, b: PlaneForest(_shifted_union(a, b)),
+    "ck": lambda a, b: RootedForest(" ".join(sorted(a.canonical.split() + b.canonical.split()))),
+    "efsym": lambda f, g: Endofunction(f.image + tuple(v + f.n for v in g.image)),
+    "sgsym": lambda s, t: Permutation(s.image + tuple(v + s.n for v in t.image)),
 }
 
 

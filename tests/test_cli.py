@@ -76,6 +76,19 @@ def test_product_r_basis(capsys, tmp_path):
     assert payload["basis"] == "R" and len(payload["terms"]) == 8
 
 
+@pytest.mark.parametrize("tag", ["ck", "nck"])
+def test_chains_deeper_than_the_recursion_limit(capsys, tmp_path, tag):
+    depth = sys.getrecursionlimit() + 200
+    chain = "(" * depth + ")" * depth
+    x = write_element(tmp_path, "x.json", {"algebra": tag, "basis": "S", "terms": [{"coeff": "1", "key": chain}]})
+    y = write_element(tmp_path, "y.json", {"algebra": tag, "basis": "S", "terms": [{"coeff": "1", "key": "()"}]})
+    code, out, err = run(capsys, "product", "--algebra", tag, x, y)
+    assert code == 0 and err == ""
+    assert json.loads(out)["terms"] == [{"coeff": "1", "key": chain + " ()"}]
+    code, out, err = run(capsys, "coproduct", "--algebra", tag, x)
+    assert code == 2 and out == "" and f"admissible cut enumeration at size {depth} exceeds bound 8" in err
+
+
 def test_basis_change_roundtrip(capsys, tmp_path):
     x = write_element(tmp_path, "x.json", HO_CHAIN)
     code, out, _ = run(capsys, "basis-change", "--from", "S", "--to", "R", "--algebra", "ho", x)
@@ -271,7 +284,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "coproduct", "--algebra", "wqsym", s_word)[0] == 2
 
 
-@pytest.mark.parametrize("token", ["+1", "\u0661", "\uff101", "1_0"])
+@pytest.mark.parametrize("token", ["+1", "\u0661", "\uff101", "1_0", "0\u30001"])
 def test_keys_take_only_ascii_digits(capsys, tmp_path, token):
     x = write_element(tmp_path, "x.json", {
         "algebra": "ho", "basis": "S", "terms": [{"coeff": "1", "key": f"0 {token}"}],

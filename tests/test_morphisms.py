@@ -1,13 +1,14 @@
 import pytest
 
+from oracles import product_key
 from treehopf.algebra import (
     FreeElement,
     TensorElement,
     coproduct_element,
+    get_algebra,
     product_elements,
 )
-from treehopf.endo import efsym_coproduct, is_acyclic, is_nondecreasing_parking, shifted_concat
-from treehopf.forests import ho_coproduct, ho_product, ck_coproduct
+from treehopf.endo import is_acyclic, is_nondecreasing_parking
 from treehopf.morphisms import (
     MAPS,
     b_plus,
@@ -84,14 +85,14 @@ def test_pi_is_an_algebra_morphism_degree_3():
         for b in pool:
             if a.n + b.n > 3:
                 continue
-            lhs = pi_image(ho_product(a, b))
+            lhs = pi_image(product_key("ho", a, b))
             rhs = product_elements(pi_image(a), pi_image(b))
             assert lhs == rhs, (a, b)
 
 
 def _pi_both_sides_agree(forest):
     mapped = {}
-    for (a, b), c in ho_coproduct(forest).terms.items():
+    for (a, b), c in get_algebra("ho").coproduct(forest).terms.items():
         for u, cu in pi_image(a).terms.items():
             for v, cv in pi_image(b).terms.items():
                 pair = (u, v)
@@ -188,23 +189,21 @@ def test_forest_to_endo_is_a_hopf_morphism_degree_3():
         for b in pool:
             if a.n + b.n > 3:
                 continue
-            assert forest_to_endo(ho_product(a, b)) == shifted_concat(
-                forest_to_endo(a), forest_to_endo(b)
-            )
+            assert forest_to_endo(product_key("ho", a, b)) == product_key("efsym", forest_to_endo(a), forest_to_endo(b))
     for n in range(4):
         for forest in enumerate_ordered_forests(n):
             mapped = {
                 (forest_to_endo(a), forest_to_endo(b)): c
-                for (a, b), c in ho_coproduct(forest).terms.items()
+                for (a, b), c in get_algebra("ho").coproduct(forest).terms.items()
             }
-            assert TensorElement("efsym", mapped) == efsym_coproduct(forest_to_endo(forest))
+            assert TensorElement("efsym", mapped) == get_algebra("efsym").coproduct(forest_to_endo(forest))
 
 
 def test_quotient_by_io_matches_the_acyclic_subalgebra_degree_3():
     # killing the non-acyclic keys in a coproduct of an acyclic key changes nothing
     for n in range(4):
         for forest in enumerate_ordered_forests(n):
-            for (a, b), _ in efsym_coproduct(forest_to_endo(forest)).terms.items():
+            for (a, b), _ in get_algebra("efsym").coproduct(forest_to_endo(forest)).terms.items():
                 assert is_acyclic(a) and is_acyclic(b)
 
 
@@ -243,10 +242,10 @@ def test_ck_projection_examples_and_surjectivity():
 def test_ck_projection_intertwines_the_coproducts():
     forked = F("4 0 2 2")
     mapped = {}
-    for (a, b), c in ho_coproduct(forked).terms.items():
+    for (a, b), c in get_algebra("ho").coproduct(forked).terms.items():
         pair = (canonicalize(a), canonicalize(b))
         mapped[pair] = mapped.get(pair, 0) + c
-    assert TensorElement("ck", mapped) == ck_coproduct(canonicalize(forked))
+    assert TensorElement("ck", mapped) == get_algebra("ck").coproduct(canonicalize(forked))
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,27 @@ def test_cut_coproducts_match_the_oracle(tag, n):
         assert ops.coproduct(key) == oracles.COPRODUCTS[tag](key), key
 
 
+@pytest.mark.parametrize("tag", sorted(oracles.PRODUCTS))
+def test_map_products_match_the_oracle(tag):
+    ops = get_algebra(tag)
+    keys = [ops.keys_of_degree(d) for d in range(6)]
+    for total in range(6):
+        for da in range(total + 1):
+            for a in keys[da]:
+                for b in keys[total - da]:
+                    assert ops.product(a, b) == FreeElement.from_key(tag, oracles.PRODUCTS[tag](a, b)), (a, b)
+
+
+@pytest.mark.parametrize("tag", sorted(oracles.PRODUCTS))
+def test_map_keys_read_back_from_their_maps(tag):
+    """Shifted concatenation with the empty map is from_image(image(key)),
+    so the unit products pin that round trip for every key."""
+    ops = get_algebra(tag)
+    for n in range(7):
+        for key in ops.keys_of_degree(n):
+            assert oracles.product_key(tag, key, ops.unit_key) == key == oracles.product_key(tag, ops.unit_key, key)
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_ideals_and_cuts_match_the_oracle_in_order(n):
     for f in oracles.endofunctions(n):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import ancestors, restrict_forest
-from treehopf.forests import ck_coproduct, ho_coproduct, nck_coproduct
+from treehopf.algebra import get_algebra
 from treehopf.structures import (
     Endofunction,
     EnumerationBoundError,
@@ -138,14 +138,24 @@ def test_rooted_forest_parse_normalizes():
 # ---------------------------------------------------------------------------
 
 def test_ordered_forest_rejects_self_parent_and_cycles():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^vertex 1 is its own parent$"):
         OrderedForest((1,))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^parent vector contains a cycle through 1$"):
         OrderedForest((2, 1))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^parent vector contains a cycle through 1$"):
         OrderedForest((2, 3, 1))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^parent of vertex 1 out of range: 5$"):
         OrderedForest((5,))
+    # range and self-parent errors come first, in vertex order; a cycle is
+    # named by the first repeated vertex on the chain of the smallest start
+    with pytest.raises(StructureError, match="^parent of vertex 3 out of range: 9$"):
+        OrderedForest((2, 1, 9))
+    with pytest.raises(StructureError, match="^vertex 3 is its own parent$"):
+        OrderedForest((2, 1, 3))
+    with pytest.raises(StructureError, match="^parent vector contains a cycle through 3$"):
+        OrderedForest((3, 0, 4, 3))
+    with pytest.raises(StructureError, match="^parent vector contains a cycle through 2$"):
+        OrderedForest((0, 3, 4, 2))
 
 
 def test_packed_word_rejects_gaps():
@@ -242,7 +252,7 @@ def test_nck_cuts_are_the_cuts_of_the_depth_first_labelling():
         for plane in enumerate_plane_forests(n):
             cuts = enumerate_admissible_cuts(plane)
             assert cuts == enumerate_admissible_cuts(plane_to_ordered(plane)), plane
-            assert len(cuts) == sum(nck_coproduct(plane).terms.values()), plane
+            assert len(cuts) == sum(get_algebra("nck").coproduct(plane).terms.values()), plane
 
 
 def test_lea_roo_on_unlabelled_forests():
@@ -250,7 +260,7 @@ def test_lea_roo_on_unlabelled_forests():
     # labelling is 0 1 2 1: cutting nothing, the root, vertex 3 and vertex 2.
     tree = RootedForest("((())())")
     empty = RootedForest("")
-    terms = ck_coproduct(tree).terms
+    terms = get_algebra("ck").coproduct(tree).terms
     assert terms[tree, empty] == 1
     assert terms[empty, tree] == 1
     assert terms[RootedForest("(()())"), RootedForest("()")] == 1
@@ -261,7 +271,7 @@ def test_lea_roo_examples():
     # Roo (x) Lea terms of the ho coproduct: cutting the single vertex, the
     # leaf 1 of 4 0 2 2, and the middle vertex of the chain 0 1 2.
     for forest, roo, lea in [("0", "", "0"), ("4 0 2 2", "0 1 1", "0"), ("0 1 2", "0", "0 1")]:
-        terms = ho_coproduct(OrderedForest.parse(forest)).terms
+        terms = get_algebra("ho").coproduct(OrderedForest.parse(forest)).terms
         assert terms[OrderedForest.parse(roo), OrderedForest.parse(lea)] == 1, forest
 
 
@@ -279,7 +289,7 @@ def test_lea_roo_partitions_and_keeps_induced_edges():
             kept = [e for e in forest.edges() if (e[0] in lea_set) == (e[1] in lea_set)]
             assert len(roo.edges()) + len(lea.edges()) == len(kept)
             terms[roo, lea] = terms.get((roo, lea), 0) + 1
-        assert ho_coproduct(forest).terms == terms, forest
+        assert get_algebra("ho").coproduct(forest).terms == terms, forest
 
 
 def test_restrict_forest_examples():
