@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         return COMMANDS[args.command](args, config)
     except (UsageError, FormatError, StructureError, AlgebraTagError, EnumerationBoundError,
-            json.JSONDecodeError, OSError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

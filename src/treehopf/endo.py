@@ -43,7 +43,7 @@ def std_restrict(f: Endofunction, subset) -> Endofunction:
     keep = sorted(set(subset))
     if any(v < 1 or v > f.n for v in keep):
         raise StructureError(f"{keep} is not a subset of the domain of {f.render()}")
-    return Endofunction(restrict_image(f.image, keep))
+    return Endofunction(restrict_image(f.image, sum(1 << (v - 1) for v in keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -90,5 +90,5 @@ def burnside_graphical(f: Endofunction, p: int, q: int) -> bool:
     return max(distance_to_cycle(f).values(), default=0) <= min(p, q)
 
 
-register_map_algebra("efsym", Endofunction, enumerate_endofunctions, lambda f: f.image, Endofunction, IDEALS)
-register_map_algebra("sgsym", Permutation, enumerate_permutations, lambda s: s.image, Permutation, IDEALS)
+register_map_algebra("efsym", Endofunction, enumerate_endofunctions, tuple, Endofunction._of, IDEALS)
+register_map_algebra("sgsym", Permutation, enumerate_permutations, tuple, Permutation._of, IDEALS)

@@ -43,8 +43,9 @@ def nwarrow(left: OrderedForest, right: OrderedForest) -> OrderedForest:
     return OrderedForest(left.parent + shifted_parents(right.parent, left.n, left.n))
 
 
-register_map_algebra("ho", OrderedForest, enumerate_ordered_forests, forest_image, forest_from_image, CUTS)
+register_map_algebra("ho", OrderedForest, enumerate_ordered_forests, forest_image,
+                     lambda image: forest_from_image(image, OrderedForest._of), CUTS)
 register_map_algebra("nck", PlaneForest, enumerate_plane_forests, forest_image,
-                     lambda image: forest_from_image(image, PlaneForest), CUTS)
+                     lambda image: forest_from_image(image, PlaneForest._of), CUTS)
 register_map_algebra("ck", RootedForest, enumerate_rooted_forests, forest_image,
-                     lambda image: canonicalize(forest_from_image(image)), CUTS)
+                     lambda image: canonicalize(forest_from_image(image, OrderedForest._of)), CUTS)

@@ -18,6 +18,15 @@ Text formats (bit-exact):
   lexicographically sorted child forms + ``")"``, trees sorted
   lexicographically and space-separated.
 
+Ordered and plane forests, endofunctions, permutations and packed words are
+tuples of their vector, readable also as ``parent``, ``image`` or
+``letters``, so dicts of keys hash and compare them as tuples.  Two such keys
+of different types with equal vectors therefore compare equal, and each
+equals the plain tuple; no dict of the library holds keys of two types.
+``cls(vector)`` and ``cls.parse`` check their input; keys the library builds
+valid by construction (enumerations, products, cut parts) come from the
+unchecked ``cls._of(vector)``.
+
 Every forest key stores or carries a parent vector ``parent``: an ordered
 forest is its vector, a plane forest the vector of its depth-first labelling,
 and an unlabelled forest the depth-first labelling of its canonical string.
@@ -37,7 +46,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 DEFAULT_ENUMERATION_BOUND = 8
 
@@ -82,11 +91,57 @@ def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Keys that are tuples of their vector
+# ---------------------------------------------------------------------------
+
+class _VectorKey(tuple):
+    """A key that is the tuple of its vector (module docstring).
+
+    ``cls(vector)`` checks the vector and raises ``StructureError``;
+    ``cls._of(vector)`` trusts it, for keys the library builds valid by
+    construction.  Subclasses name the vector (``_field``) and their text
+    format (``_what``), and check a vector in ``_check``.
+    """
+
+    __slots__ = ()
+    _field = _what = ""
+    _of = classmethod(tuple.__new__)
+
+    def __new__(cls, vector):
+        key = tuple.__new__(cls, vector)
+        key._check()
+        return key
+
+    def __reduce__(self):  # every pickle protocol rebuilds through the check
+        return type(self), (tuple(self),)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={tuple(self)!r})"
+
+    @property
+    def n(self) -> int:
+        return len(self)
+
+    def render(self) -> str:
+        return " ".join(map(str, self))
+
+    @classmethod
+    def parse(cls, text: str):
+        return cls(_parse_int_vector(text, cls._what))
+
+    def sort_key(self):
+        return (len(self), self)
+
+
+# ``parent``, ``image`` and ``letters`` read the vector, which is the key itself
+_VECTOR = property(lambda key: key)
+
+
+# ---------------------------------------------------------------------------
 # Ordered forests
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderedForest:
+class OrderedForest(_VectorKey):
     """Rooted forest on the totally ordered vertex set {1..n}.
 
     Stored as a parent vector: ``parent[v-1]`` is the parent of vertex ``v``,
@@ -94,12 +149,13 @@ class OrderedForest:
     roots, so an edge is a pair (child, parent).
     """
 
-    parent: tuple[int, ...]
-    __slots__ = ("parent", "_hash")
+    __slots__ = ()
+    _field, _what = "parent", "ordered forest"
+    parent = _VECTOR
 
-    def __post_init__(self):
-        n = len(self.parent)
-        for v, p in enumerate(self.parent, start=1):
+    def _check(self):
+        n = len(self)
+        for v, p in enumerate(self, start=1):
             if not 0 <= p <= n:
                 raise StructureError(f"parent of vertex {v} out of range: {p}")
             if p == v:
@@ -112,47 +168,26 @@ class OrderedForest:
             w = v
             while not mark[w]:
                 mark[w] = v
-                w = self.parent[w - 1]
+                w = self[w - 1]
             if mark[w] == v:
                 raise StructureError(f"parent vector contains a cycle through {w}")
             w = v
             while mark[w] == v:
                 mark[w] = -1
-                w = self.parent[w - 1]
-        # Keys are hashed on every dict operation of the checks, so each key
-        # hashes once, to the value the dataclass hash would give.  Slots
-        # instead of an instance dict keep the cached hash from costing memory.
-        object.__setattr__(self, "_hash", hash((self.parent,)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
+                w = self[w - 1]
 
     def roots(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self.parent[v - 1] == 0)
+        return tuple(v for v, p in enumerate(self, start=1) if p == 0)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All (child, parent) pairs."""
-        return tuple((v, p) for v, p in enumerate(self.parent, start=1) if p != 0)
+        return tuple((v, p) for v, p in enumerate(self, start=1) if p != 0)
 
     def children(self) -> dict[int, list[int]]:
         kids: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
         for v, p in self.edges():
             kids[p].append(v)
         return kids
-
-    def render(self) -> str:
-        return " ".join(str(p) for p in self.parent)
-
-    @classmethod
-    def parse(cls, text: str) -> "OrderedForest":
-        return cls(_parse_int_vector(text, "ordered forest"))
-
-    def sort_key(self):
-        return (self.n, self.parent)
 
 
 def relabel_forest(forest: OrderedForest, new_label: dict[int, int]) -> OrderedForest:
@@ -188,7 +223,7 @@ def acyclic_parent_vectors(choices: Sequence[Sequence[int]]) -> list[OrderedFore
 
     def extend(i: int):
         if i == len(free):
-            out.append(OrderedForest(tuple(parent[1:])))  # type: ignore[arg-type]
+            out.append(OrderedForest._of(parent[1:]))
             return
         v = free[i]
         for w in choices[v - 1]:
@@ -229,11 +264,11 @@ def forest_image(forest: OrderedForest | PlaneForest | RootedForest) -> tuple[in
     return tuple([p or v for v, p in enumerate(forest.parent, start=1)])
 
 
-def forest_from_image(image: Sequence[int], kind: type = OrderedForest):
-    """The forest of type ``kind`` (ordered, or plane for a depth-first
-    labelling) whose parent vector has f_F = ``image``: its fixed points
-    are the roots."""
-    return kind(tuple([0 if w == v else w for v, w in enumerate(image, start=1)]))
+def forest_from_image(image: Sequence[int], make: Callable = OrderedForest):
+    """The forest built by ``make`` (an ordered or plane forest constructor,
+    the latter for a depth-first labelling) whose parent vector has f_F =
+    ``image``: its fixed points are the roots."""
+    return make([0 if w == v else w for v, w in enumerate(image, start=1)])
 
 
 def closed_subsets(image: Sequence[int], bound: int | None = None, what: str = "closed sets") -> list[int]:
@@ -263,11 +298,13 @@ def closed_subsets(image: Sequence[int], bound: int | None = None, what: str = "
     return masks
 
 
-def restrict_image(image: Sequence[int], part: Sequence[int]) -> tuple[int, ...]:
-    """The map on the increasing vertex list ``part``, standardized: a value
-    escaping ``part`` becomes a fixed point, then part[i] is renamed i+1."""
-    index = {v: i for i, v in enumerate(part, start=1)}
-    return tuple(index.get(image[v - 1], i) for v, i in index.items())
+def restrict_image(image: Sequence[int], part: int) -> tuple[int, ...]:
+    """The map on the vertex set ``part`` (a bitmask), standardized: a value
+    escaping ``part`` becomes a fixed point, then the vertices of ``part``
+    are renamed 1, 2, ... in increasing order, so vertex t becomes the
+    number of vertices of ``part`` up to t."""
+    return tuple([(part & ((1 << (w if part >> (w - 1) & 1 else v)) - 1)).bit_count()
+                  for v, w in enumerate(image, start=1) if part >> (v - 1) & 1])
 
 
 def cut_terms(image: Sequence[int], make, what: str) -> dict:
@@ -277,8 +314,7 @@ def cut_terms(image: Sequence[int], make, what: str) -> dict:
     part = lru_cache(maxsize=None)(make)  # parts repeat across the cuts of one key
     terms: dict = {}
     for lea in closed_subsets(image, None, what):
-        pair = (part(restrict_image(image, mask_vertices(full ^ lea))),
-                part(restrict_image(image, mask_vertices(lea))))
+        pair = (part(restrict_image(image, full ^ lea)), part(restrict_image(image, lea)))
         terms[pair] = terms.get(pair, 0) + 1
     return terms
 
@@ -307,30 +343,22 @@ def enumerate_admissible_cuts(forest, bound: int | None = None) -> list[frozense
 # children left to right.  The vectors that arise are exactly those in which
 # each parent is 0 or lies on the path from the previous vertex to its root.
 
-@dataclass(frozen=True)
-class PlaneForest:
-    parent: tuple[int, ...]
-    __slots__ = ("parent", "_hash")
+class PlaneForest(_VectorKey):
+    __slots__ = ()
+    _field = "parent"
+    parent = _VECTOR
 
-    def __post_init__(self):
+    def _check(self):
         path: list[int] = []  # the previous vertex and its ancestors, root first
-        for v, p in enumerate(self.parent, start=1):
+        for v, p in enumerate(self, start=1):
             while path and path[-1] != p:
                 path.pop()
             if p != 0 and not path:
                 raise StructureError(f"parent {p} of vertex {v} is not on the path from vertex {v - 1} to its root")
             path.append(v)
-        object.__setattr__(self, "_hash", hash((self.parent,)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
 
     def render(self) -> str:
-        return _bracketed(self.parent, list)
+        return _bracketed(self, list)
 
     @classmethod
     def parse(cls, text: str) -> "PlaneForest":
@@ -369,7 +397,7 @@ def enumerate_plane_forests(n: int, bound: int | None = None) -> list[PlaneFores
     """All plane forests with n vertices (Catalan many): by the size of the
     first tree, then its subforest, then the rest of the forest."""
     _check_bound(n, bound, "plane forest enumeration")
-    return [PlaneForest(parent) for parent in _plane_vectors(n)]
+    return list(map(PlaneForest._of, _plane_vectors(n)))
 
 
 @lru_cache(maxsize=None)
@@ -481,26 +509,18 @@ def enumerate_rooted_forests(n: int, bound: int | None = None) -> list[RootedFor
 # Endofunctions, permutations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Endofunction:
+class Endofunction(_VectorKey):
     """A total map [n] -> [n], stored as the image vector (f(1),...,f(n))."""
 
-    image: tuple[int, ...]
-    __slots__ = ("image", "_hash")
+    __slots__ = ()
+    _field, _what = "image", "endofunction"
+    image = _VECTOR
 
-    def __post_init__(self):
-        n = len(self.image)
-        for v, fv in enumerate(self.image, start=1):
+    def _check(self):
+        n = len(self)
+        for v, fv in enumerate(self, start=1):
             if not 1 <= fv <= n:
                 raise StructureError(f"f({v}) = {fv} out of range 1..{n}")
-        object.__setattr__(self, "_hash", hash((self.image,)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
 
     def __call__(self, v: int) -> int:
         return self.image[v - 1]
@@ -541,40 +561,23 @@ class Endofunction:
                 out.append(tuple(cyc))
         return out
 
-    def render(self) -> str:
-        return " ".join(str(v) for v in self.image)
 
-    @classmethod
-    def parse(cls, text: str) -> "Endofunction":
-        return cls(_parse_int_vector(text, "endofunction"))
-
-    def sort_key(self):
-        return (self.n, self.image)
-
-
-@dataclass(frozen=True)
 class Permutation(Endofunction):
     """A bijective endofunction."""
 
     __slots__ = ()
+    _what = "permutation"
 
-    def __post_init__(self):
-        super().__post_init__()
-        if sorted(self.image) != list(range(1, self.n + 1)):
-            raise StructureError(f"{self.image} is not a permutation")
-
-    # the dataclass decorator would otherwise regenerate the hash
-    __hash__ = Endofunction.__hash__
+    def _check(self):
+        super()._check()
+        if sorted(self) != list(range(1, self.n + 1)):
+            raise StructureError(f"{tuple(self)} is not a permutation")
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for v, fv in enumerate(self.image, start=1):
             inv[fv - 1] = v
         return Permutation(tuple(inv))
-
-    @classmethod
-    def parse(cls, text: str) -> "Permutation":
-        return cls(_parse_int_vector(text, "permutation"))
 
 
 def cycle_vertices(f: Endofunction) -> set[int]:
@@ -602,58 +605,38 @@ def distance_to_cycle(f: Endofunction) -> dict[int, int]:
 def enumerate_endofunctions(n: int, bound: int | None = None) -> list[Endofunction]:
     """All n^n endofunctions, lexicographic in the image vector."""
     _check_bound(n, bound, "endofunction enumeration")
-    return [Endofunction(img) for img in itertools.product(range(1, n + 1), repeat=n)]
+    return list(map(Endofunction._of, itertools.product(range(1, n + 1), repeat=n)))
 
 
 def enumerate_permutations(n: int, bound: int | None = None) -> list[Permutation]:
     _check_bound(n, bound, "permutation enumeration")
-    return [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
+    return list(map(Permutation._of, itertools.permutations(range(1, n + 1))))
 
 
 # ---------------------------------------------------------------------------
 # Packed words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PackedWord:
+class PackedWord(_VectorKey):
     """A word over {1..m} using every value in {1..m} at least once."""
 
-    letters: tuple[int, ...]
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
+    _field, _what = "letters", "packed word"
+    letters = _VECTOR
 
-    def __post_init__(self):
-        if self.letters:
-            m = max(self.letters)
-            if min(self.letters) < 1 or set(self.letters) != set(range(1, m + 1)):
-                raise StructureError(f"{self.letters} is not packed")
-        object.__setattr__(self, "_hash", hash((self.letters,)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
+    def _check(self):
+        if self and (min(self) < 1 or set(self) != set(range(1, max(self) + 1))):
+            raise StructureError(f"{tuple(self)} is not packed")
 
     def max_letter(self) -> int:
-        return max(self.letters) if self.letters else 0
-
-    def render(self) -> str:
-        return " ".join(str(a) for a in self.letters)
-
-    @classmethod
-    def parse(cls, text: str) -> "PackedWord":
-        return cls(_parse_int_vector(text, "packed word"))
-
-    def sort_key(self):
-        return (self.n, self.letters)
+        return max(self) if self else 0
 
 
 def pack(word: Sequence[int]) -> PackedWord:
     """Relabel the distinct letters of ``word`` order-preservingly onto {1..r}."""
     distinct = sorted(set(word))
     rank = {b: i + 1 for i, b in enumerate(distinct)}
-    return PackedWord(tuple(rank[b] for b in word))
+    return PackedWord._of([rank[b] for b in word])
 
 
 def enumerate_packed_words(n: int, bound: int | None = None) -> list[PackedWord]:
@@ -670,7 +653,7 @@ def enumerate_packed_words(n: int, bound: int | None = None) -> list[PackedWord]
 
     def extend(pos: int, top: int, missing: int):
         if pos == n:
-            out.append(PackedWord(tuple(letters)))
+            out.append(PackedWord._of(letters))
             return
         left = n - pos - 1  # positions after this one
         for a in range(1, n + 1):

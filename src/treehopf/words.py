@@ -52,15 +52,15 @@ def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
 
     merge(1)
     words.sort()
-    return FreeElement("wqsym", {PackedWord(w): 1 for w in words})
+    return FreeElement("wqsym", {PackedWord._of(w): 1 for w in words})
 
 
 def wqsym_coproduct(u: PackedWord) -> TensorElement:
     """Split the values of u at each threshold k, packing the upper part."""
     terms: dict = {}
     for k in range(u.max_letter() + 1):
-        low = PackedWord(tuple(a for a in u.letters if a <= k))
-        high = pack(tuple(a for a in u.letters if a > k))
+        low = PackedWord._of([a for a in u if a <= k])
+        high = pack([a for a in u if a > k])
         pair = (low, high)
         terms[pair] = terms.get(pair, 0) + 1
     return TensorElement("wqsym", terms)

@@ -387,3 +387,28 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(HO_CHAIN)))
     code, out, _ = run(capsys, "morphism", "--map", "ck", "-")
     assert code == 0 and json.loads(out)["terms"] == [{"coeff": "1", "key": "(())"}]
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def test_undecodable_element_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "coproduct", "--algebra", "ho", str(bad))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_undecodable_stdin_exits_2(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    code, out, err = run(capsys, "coproduct", "--algebra", "ho", "-")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_undecodable_config_exits_2(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "--config", str(config), "dims", "--algebra", "ho", "--max-degree", "2")
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -1,8 +1,11 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import ancestors, restrict_forest
-from treehopf.algebra import get_algebra
+from treehopf.algebra import FreeElement, get_algebra
 from treehopf.structures import (
     Endofunction,
     EnumerationBoundError,
@@ -18,6 +21,7 @@ from treehopf.structures import (
     enumerate_endofunctions,
     enumerate_ordered_forests,
     enumerate_packed_words,
+    enumerate_permutations,
     enumerate_plane_forests,
     enumerate_rooted_forests,
     ordered_to_plane,
@@ -325,12 +329,11 @@ def test_parse_render_roundtrips():
     assert Endofunction.parse("2 3 2 3 4").render() == "2 3 2 3 4"
     assert PackedWord.parse("1 2 2").render() == "1 2 2"
     assert PlaneForest.parse("(()())").render() == "(()())"
-    for n in range(5):
-        for forest in enumerate_ordered_forests(n):
-            assert OrderedForest.parse(forest.render()) == forest
-    for n in range(5):
-        for plane in enumerate_plane_forests(n):
-            assert PlaneForest.parse(plane.render()) == plane
+    for key_type, enumerate_keys in VECTOR_KEYS.items():
+        for n in range(5):
+            for key in enumerate_keys(n):
+                back = key_type.parse(key.render())
+                assert back == key and hash(back) == hash(key) and type(back) is key_type
 
 
 def test_plane_ordered_labelling_roundtrip():
@@ -339,3 +342,75 @@ def test_plane_ordered_labelling_roundtrip():
             assert ordered_to_plane(plane_to_ordered(plane)) == plane
     with pytest.raises(StructureError):
         ordered_to_plane(OrderedForest.parse("2 0"))  # labels decrease along the edge
+
+
+# ---------------------------------------------------------------------------
+# Keys are tuples of their vector
+# ---------------------------------------------------------------------------
+
+VECTOR_KEYS = {
+    OrderedForest: enumerate_ordered_forests,
+    PlaneForest: enumerate_plane_forests,
+    Endofunction: enumerate_endofunctions,
+    Permutation: enumerate_permutations,
+    PackedWord: enumerate_packed_words,
+}
+MAP_ALGEBRAS = ["ho", "nck", "efsym", "sgsym"]
+
+
+def assert_valid(key, key_type):
+    """``key`` is of ``key_type`` and survives its checking constructor."""
+    assert type(key) is key_type
+    assert type(key)(tuple(key)) == key
+
+
+def test_library_built_keys_pass_the_checking_constructor():
+    # Enumerations, products, cut parts and the wqsym kernels build their
+    # keys unchecked; every key they build must be one the check accepts.
+    for key_type, enumerate_keys in VECTOR_KEYS.items():
+        for n in range(7):
+            for key in enumerate_keys(n):
+                assert_valid(key, key_type)
+    for tag in MAP_ALGEBRAS + ["wqsym"]:
+        ops = get_algebra(tag)
+        keys = [ops.keys_of_degree(n) for n in range(6)]
+        for total in range(6):
+            for da in range(total + 1):
+                for a in keys[da]:
+                    for b in keys[total - da]:
+                        for key in ops.product(a, b).terms:
+                            assert_valid(key, ops.key_type)
+        for degree_keys in keys:
+            for x in degree_keys:
+                for pair in ops.coproduct(x).terms:
+                    for part in pair:
+                        assert_valid(part, ops.key_type)
+
+
+def test_key_repr_keeps_the_field_form():
+    assert repr(OrderedForest.parse("0 1")) == "OrderedForest(parent=(0, 1))"
+    assert repr(PlaneForest.parse("(())")) == "PlaneForest(parent=(0, 1))"
+    assert repr(Endofunction.parse("2 2")) == "Endofunction(image=(2, 2))"
+    assert repr(Permutation.parse("2 1")) == "Permutation(image=(2, 1))"
+    assert repr(PackedWord.parse("1 2 1")) == "PackedWord(letters=(1, 2, 1))"
+    assert repr(OrderedForest.parse("")) == "OrderedForest(parent=())"
+
+
+@pytest.mark.parametrize("key_type", list(VECTOR_KEYS))
+def test_pickle_and_copy_go_through_the_checking_constructor(key_type):
+    clones = [copy.copy, copy.deepcopy]
+    clones += [lambda k, p=p: pickle.loads(pickle.dumps(k, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        for key in VECTOR_KEYS[key_type](3):
+            assert clone(key) == key and type(clone(key)) is key_type
+        with pytest.raises(StructureError):
+            clone(key_type._of((2, 2, 4)))  # invalid for every type: 4 exceeds n, 3 is missing
+
+
+def test_keys_of_equal_vectors_compare_equal_but_elements_do_not():
+    # Keys are tuples, so keys of two types with one vector are equal; an
+    # element is tagged with its algebra, so elements of two algebras differ.
+    assert OrderedForest((0, 1)) == PlaneForest((0, 1)) == (0, 1)
+    assert Endofunction((2, 1)) == Permutation((2, 1)) == (2, 1)
+    assert FreeElement("ho", {OrderedForest((0, 1)): 1}) != FreeElement("nck", {PlaneForest((0, 1)): 1})
+    assert FreeElement("efsym", {Endofunction((2, 1)): 1}) != FreeElement("sgsym", {Permutation((2, 1)): 1})
