@@ -25,9 +25,13 @@ Truncation is controlled by N: all subscripts lie in {1..N} ({0..N} for the
 first subscripts of v1 root letters).  Product and doubling identities are
 exact at every N; linear independence needs N large enough (2n+2 suffices).
 Each key owns a witness word of its S^x, read from the same steps as its
-words; ``rank_check`` proves independence on the witnesses' columns, one
-key's words at a time, and eliminates every realized row only when that
-proof fails.
+words, and a membership test that reads a word letter by letter;
+``rank_check`` proves independence on the witnesses' columns by membership
+alone, building no word, and eliminates every realized row only when that
+proof fails.  The steps take the components in the order of their first
+positions, so the words of a shifted concatenation x.y come out as the
+concatenations of S^x and S^y, w2 the outer loop: the product check
+compares them in that order first.
 
 Words are integers inside the engine.  At truncation N let K = N + 1; the
 letter (side, i, j) has the code ((side == "B") * K + i) * K + j, which is
@@ -45,19 +49,20 @@ check can compare whole blocks without forming the pairs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import AlgebraOps, AlgebraTagError, FreeElement, accumulate, get_algebra
 from .structures import (
     Endofunction,
+    EnumerationBoundError,
     OrderedForest,
     PackedWord,
     Permutation,
     StructureError,
     _check_bound,
     closed_subsets,
-    forest_image,
 )
 
 Letter = tuple[str, int, int]
@@ -174,7 +179,12 @@ def _steps(
     """The variables of one side's letters as (weight, lo, hi, relations,
     free) steps; a relation (op, t) compares the value with the earlier step
     t, and ``free`` marks the free first subscript of a root-like letter.
-    Letters are coded by their rank on the side, as A letters."""
+    Letters are coded by their rank on the side, as A letters.
+
+    The components come in the order of their first positions.  A shifted
+    concatenation x.y therefore has x's steps followed by y's, shifted, and
+    ``_assign`` lists S^{x.y} as w1 + w2 * base^|x| for w2 in S^y for w1 in
+    S^x: the engine order the product check compares first."""
     k = size + 1
     base = code_base(size)
     weight = {v: base**r for r, v in enumerate(side)}
@@ -189,11 +199,18 @@ def _steps(
         for v in side:
             if parent[v - 1] not in weight:
                 coef[v] += k * weight[v]
-    # Preorder from the side's roots, then around any cycle left, so that a
-    # vertex's parent is usually assigned just before it.
+    # One preorder per component, in the order of their first positions, so
+    # that a vertex's parent is usually assigned just before it.  A component
+    # starts at its root, or at the cycle vertex its first position reaches.
     order: list[int] = []
     seen: set[int] = set()
-    for start in [v for v in side if parent[v - 1] not in weight] + list(side):
+    for first in side:
+        if first in seen:
+            continue
+        start, path = first, set()
+        while start not in path and parent[start - 1] in weight:
+            path.add(start)
+            start = parent[start - 1]
         stack = [start]
         while stack:
             v = stack.pop()
@@ -222,10 +239,19 @@ def _steps(
     return steps
 
 
+# The most partial sums one step of ``_assign`` may list: above the
+# 9,834,496 words of the func identity at degree 4, N=8, the largest list
+# of ``verify --suite realization --max-degree 4``, whose enumeration peaks
+# at about 460 MB.
+WORD_BUDGET = 10_000_000
+
+
 def _assign(steps: list) -> list[int]:
     """Codes of every assignment of the steps' variables: each value times
     its weight, summed.  Partial sums are grouped by the values later steps
-    still compare against."""
+    still compare against.  A step that would list more than
+    ``WORD_BUDGET`` partial sums raises ``EnumerationBoundError`` before it
+    allocates them."""
     last: dict[int, int] = {}
     for t, (_, _, _, relations, _) in enumerate(steps):
         for _, u in relations:
@@ -237,7 +263,7 @@ def _assign(steps: list) -> list[int]:
         checks = [(op, slot[u]) for op, u in relations]
         kept = [u for u in live + [t] if last.get(u, -1) > t]
         picks = [slot.get(u, len(live)) for u in kept]
-        nxt: dict[tuple, list[int]] = {}
+        allowed, count = [], 0
         for state, codes in groups.items():
             a, b, banned = lo, hi, []
             for op, i in checks:
@@ -248,11 +274,25 @@ def _assign(steps: list) -> list[int]:
                     b = min(b, value - 1)
                 else:
                     banned.append(value)
-            shifts: dict[tuple, list[int]] = {}
-            for y in range(a, b + 1):
-                if y not in banned:
+            ys = range(a, b + 1)
+            if banned:
+                ys = [y for y in ys if y not in banned]
+            if ys:
+                allowed.append((state, codes, ys))
+                count += len(ys) * len(codes)
+        if count > WORD_BUDGET:
+            raise EnumerationBoundError(
+                f"word enumeration of {count} partial words exceeds bound {WORD_BUDGET}"
+            )
+        nxt: dict[tuple, list[int]] = {}
+        for state, codes, ys in allowed:
+            if len(live) in picks:  # later steps compare against this value
+                shifts: dict[tuple, list[int]] = {}
+                for y in ys:
                     full = state + (y,)
                     shifts.setdefault(tuple([full[i] for i in picks]), []).append(y * coef)
+            else:
+                shifts = {tuple([state[i] for i in picks]): [y * coef for y in ys]}
             for key, ds in shifts.items():
                 nxt.setdefault(key, []).extend([c + d for d in ds for c in codes])
         groups = nxt
@@ -274,21 +314,31 @@ def _witness(steps: list) -> int | None:
     return sum(y * coef for y, (coef, *_) in zip(values, steps))
 
 
-def _regime(image_of: Callable[[Any], Sequence[int]], relation: str | None, root: str):
-    """The ``words`` and ``witness`` slots of a family whose keys are the
-    maps ``image_of``: codes of S^x, or one (mask, A-subwords, B-subwords)
-    block per closed set over the doubled alphabet; and the code of one word
-    of S^x, read from the same steps.  Each position is linked to its image;
-    fixed points are roots."""
+# relation -> the test of a linked letter's second subscript against its
+# parent's; root kind -> the test of a root letter's first subscript against
+# its second
+_LINKED = {">": operator.gt, "!=": operator.ne, None: lambda y, q: True}
+_ROOTED = {"below": operator.lt, "loop": operator.eq, "different": lambda i, y: 0 < i != y}
+
+
+def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, root: str):
+    """The ``words``, ``witness`` and ``contains`` slots of a family whose
+    keys are read as the maps ``parent_of``: codes of S^x, or one (mask,
+    A-subwords, B-subwords) block per closed set over the doubled alphabet;
+    the code of one word of S^x, read from the same steps; and whether a
+    code is a word of S^x, read letter by letter.  Each position is linked
+    to its parent; the positions whose parent is 0, the fixed points of the
+    map, are roots."""
 
     def side_words(parent: Sequence[int], side: Sequence[int], size: int) -> list[int]:
         return _assign(_steps(parent, side, relation, root, size))
 
-    def doubled_words(image: Sequence[int], parent: Sequence[int], size: int) -> Iterator[tuple]:
+    def doubled_words(parent: Sequence[int], size: int) -> Iterator[tuple]:
         # No B letter sits above an A letter: the B positions form a closed
         # set of the map, the Lea part of a cut.  The word count, not the
         # size, bounds them.
-        positions = range(1, len(image) + 1)
+        positions = range(1, len(parent) + 1)
+        image = [p or v for v, p in enumerate(parent, start=1)]
         for mask in closed_subsets(image, bound=len(image)):
             yield (
                 mask,
@@ -296,22 +346,42 @@ def _regime(image_of: Callable[[Any], Sequence[int]], relation: str | None, root
                 side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size),
             )
 
-    def parents(key, size: int) -> tuple[Sequence[int], list[int]]:
+    def parents(key, size: int) -> Sequence[int]:
         _check_truncation(size)
-        image = image_of(key)
-        return image, [0 if w == v else w for v, w in enumerate(image, start=1)]
+        return parent_of(key)
 
     def words(key, size: int, doubled: bool = False) -> Iterable:
-        image, parent = parents(key, size)
+        parent = parents(key, size)
         if doubled:
-            return doubled_words(image, parent, size)
-        return side_words(parent, range(1, len(image) + 1), size)
+            return doubled_words(parent, size)
+        return side_words(parent, range(1, len(parent) + 1), size)
 
     def witness(key, size: int) -> int | None:
-        image, parent = parents(key, size)
-        return _witness(_steps(parent, range(1, len(image) + 1), relation, root, size))
+        parent = parents(key, size)
+        return _witness(_steps(parent, range(1, len(parent) + 1), relation, root, size))
 
-    return words, witness
+    linked, rooted = _LINKED[relation], _ROOTED[root]
+
+    def contains(key, code: int, size: int) -> bool:
+        parent = parents(key, size)
+        k, base = size + 1, code_base(size)
+        letters = []
+        for _ in parent:
+            code, d = divmod(code, base)
+            letters.append(divmod(d, k))
+        if code:  # a letter past the n-th
+            return False
+        for (first, y), p in zip(letters, parent):
+            if first >= k or not y:  # a B letter, or no second subscript
+                return False
+            if p:
+                if first != letters[p - 1][1] or not linked(y, first):
+                    return False
+            elif not rooted(first, y):
+                return False
+        return True
+
+    return words, witness, contains
 
 
 def _interleave(blocks: Iterable[tuple[int, list, list]], n: int, size: int) -> Iterator[int]:
@@ -382,7 +452,10 @@ class RealizationFamily(NamedTuple):
     of S^x, or, when doubled, one (B mask, A-subword codes, B-subword codes)
     block per closed set, whose words are all the pairs of the two lists.
     ``witness(key, size)`` is the code of one word of S^x, or None when the
-    truncation leaves no room for it (see ``rank_check``).  An
+    truncation leaves no room for it (see ``rank_check``).
+    ``contains(key, code, size)`` tells whether a code is a word of S^x in
+    O(n), building no word: it decodes n A letters and tests each against
+    its parent's letter and the regime's relation and root kind.  An
     ``internal`` family is left out of ``realize --version`` and of the rank
     checks of the realization suite.  Calling a family realizes."""
 
@@ -390,6 +463,7 @@ class RealizationFamily(NamedTuple):
     algebra: str
     words: Callable[[Any, int, bool], Iterable]
     witness: Callable[[Any, int], int | None]
+    contains: Callable[[Any, int, int], bool]
     internal: bool = False
 
     @property
@@ -424,13 +498,20 @@ class RealizationFamily(NamedTuple):
     __call__ = realize
 
 
+def _parent_vector(image: Sequence[int]) -> list[int]:
+    """The parent vector of a map: its image, with 0 at the fixed points."""
+    return [0 if w == v else w for v, w in enumerate(image, start=1)]
+
+
 FAMILIES: dict[str, RealizationFamily] = {
     fam.version: fam
     for fam in (
-        RealizationFamily("v1", "ho", *_regime(forest_image, ">", "below")),
-        RealizationFamily("v2", "ho", *_regime(forest_image, ">", "loop")),
-        RealizationFamily("func", "efsym", *_regime(lambda f: f.image, "!=", "different")),
-        RealizationFamily("perm", "sgsym", *_regime(lambda s: s.inverse().image, None, "loop"), internal=True),
+        RealizationFamily("v1", "ho", *_regime(lambda f: f.parent, ">", "below")),
+        RealizationFamily("v2", "ho", *_regime(lambda f: f.parent, ">", "loop")),
+        RealizationFamily("func", "efsym", *_regime(lambda f: _parent_vector(f.image), "!=", "different")),
+        RealizationFamily(
+            "perm", "sgsym", *_regime(lambda s: _parent_vector(s.inverse().image), None, "loop"), internal=True
+        ),
     )
 }
 
@@ -596,17 +677,18 @@ def rank_check(keys: Iterable, fam: RealizationFamily, size: int, label: str = "
     """Exact rank of the S^x of ``keys`` as vectors over word codes.
 
     Every key owns a witness word of its S^x (``RealizationFamily.witness``).
-    The columns of the witnesses form a k x k submatrix, built one key's
-    words at a time, and its rank is at most the full rank: when it is k the
-    S^x are independent.  Otherwise, or when a witness is missing or
-    repeated, every S^x is realized and eliminated by ``rank_of_rows``."""
+    The columns of the witnesses form a k x k submatrix, whose entries are
+    membership tests (``RealizationFamily.contains``), so proving it builds
+    no word; its rank is at most the full rank: when it is k the S^x are
+    independent.  Otherwise, or when a witness is missing or repeated, every
+    S^x is realized and eliminated by ``rank_of_rows``."""
     keys, label = list(keys), label or f"N={size}"
     for key in keys:
         if not isinstance(key, fam.ops.key_type):
             raise fam._tag_error(key)
     column = {fam.witness(key, size): i for i, key in enumerate(keys)}
     if None not in column and len(column) == len(keys):
-        rows = [{column[w]: 1 for w in column.keys() & fam.words(key, size)} for key in keys]
+        rows = [{column[w]: 1 for w in column if fam.contains(key, w, size)} for key in keys]
         if rank_of_rows(rows) == len(keys):
             return RankReport(label, len(keys), len(keys))
     rows = [fam.realize(key, size).codes for key in keys]

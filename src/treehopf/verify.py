@@ -6,8 +6,9 @@ hold the stored worked examples in the element JSON schema; replay failures
 print a term-level diff.
 
 The realization checks touch each word a fixed number of times: the product
-check matches the sorted words of S^{x.y} against the concatenations of S^x
-and S^y, and the doubling check compares the doubled blocks (one rectangle of
+check matches the words of S^{x.y} against the concatenations of S^x and S^y
+in the order the engine lists them, and sorts the three lists only when that
+fails; the doubling check compares the doubled blocks (one rectangle of
 sorted A- and B-subwords per closed set) with the coproduct's rectangles,
 counting word pairs only when the two multisets differ.
 """
@@ -59,31 +60,43 @@ def suite_axiom(name: str, max_degree: int = 3) -> list[Outcome]:
 # Realization suite
 # ---------------------------------------------------------------------------
 
+def _concatenations_match(target: list, firsts: list, seconds: list, shift: int) -> bool:
+    """``target`` lists w1 + w2 * shift for w2 in ``seconds`` for w1 in
+    ``firsts``, in that order; compared one w2 at a time, so no list of
+    concatenations is built."""
+    width = len(firsts)
+    return len(target) == width * len(seconds) and all(
+        target[i * width:(i + 1) * width] == [w1 + offset for w1 in firsts]
+        for i, offset in enumerate([w2 * shift for w2 in seconds])
+    )
+
+
 def multiplicativity_ok(version: str, left, right, size: int) -> bool:
     """S^x S^y = S^{x.y}.
 
     When x.y is one key with coefficient 1 (in every family it is the shifted
-    concatenation), S^x S^y is the set of concatenations w1 + w2 * base^|x|,
-    which in (w2, w1) order come out sorted.  The sorted words of S^{x.y} are
-    compared with them one w2 at a time, so no polynomial product is built.
-    Other products compare the realized polynomials."""
+    concatenation), S^x S^y is the set of concatenations w1 + w2 * base^|x|.
+    The engine lists the words of S^{x.y} in that order (see
+    ``realization._steps``), so they are first compared with the
+    concatenations as listed; equal lists are equal sets, so a match is
+    exact.  Otherwise the same lists, deduplicated and sorted, are compared
+    again: in (w2, w1) order the concatenations of sorted lists come out
+    sorted.  No polynomial product is built.  Other products compare the
+    realized polynomials."""
     fam = family(version)
     product = fam.ops.product(left, right)
     if list(product.terms.values()) != [1]:
         return fam.realize(left, size) * fam.realize(right, size) == fam.realize(product, size)
     (key,) = product.terms
-    firsts = sorted(set(fam.words(left, size)))
-    seconds = sorted(set(fam.words(right, size)))
-    width = len(firsts)
-    target = fam.words(key, size)
-    if len(target) > width * len(seconds):  # a repeated word counts once in S^{x.y}
+    firsts, seconds, target = (fam.words(x, size) for x in (left, right, key))
+    shift = code_base(size) ** left.n
+    if _concatenations_match(target, firsts, seconds, shift):
+        return True
+    firsts, seconds = sorted(set(firsts)), sorted(set(seconds))
+    if len(target) > len(firsts) * len(seconds):  # a repeated word counts once in S^{x.y}
         target = list(set(target))
     target.sort()
-    shift = code_base(size) ** left.n
-    return len(target) == width * len(seconds) and all(
-        target[i * width:(i + 1) * width] == [w1 + offset for w1 in firsts]
-        for i, offset in enumerate([w2 * shift for w2 in seconds])
-    )
+    return _concatenations_match(target, firsts, seconds, shift)
 
 
 def _pair_counts_ok(blocks: Iterable[tuple[int, list, list]], terms: dict, realized: Callable) -> bool:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from treehopf import realization
 from treehopf.algebra import (
     ALGEBRAS,
     FreeElement,
@@ -282,6 +283,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         "algebra": "wqsym", "basis": "S", "terms": [{"coeff": "1", "key": "1 1"}],
     })
     assert run(capsys, "coproduct", "--algebra", "wqsym", s_word)[0] == 2
+
+
+def test_realize_over_the_word_budget_exits_2(capsys, monkeypatch):
+    # 105^6 words at the default N=14: stopped at the first step over budget
+    code, out, err = run(capsys, "realize", "--version", "v1", "--object", "0 0 0 0 0 0")
+    assert code == 2 and out == ""
+    assert err == "error: word enumeration of 16206750 partial words exceeds bound 10000000\n"
+    monkeypatch.setattr(realization, "WORD_BUDGET", 100)
+    code, out, err = run(capsys, "realize", "--version", "func", "--indices", "3", "--object", "1 2 3")
+    assert code == 2 and out == "" and err.startswith("error: ") and "exceeds bound 100" in err
+    assert run(capsys, "realize", "--version", "func", "--indices", "3", "--object", "1 2")[0] == 0
 
 
 @pytest.mark.parametrize("token", ["+1", "\u0661", "\uff101", "1_0", "0\u30001"])

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import oracles
+from treehopf import realization, verify
 from treehopf.algebra import AlgebraTagError, FreeElement, accumulate
 from treehopf.realization import (
     FAMILIES,
@@ -167,6 +168,69 @@ def test_words_are_distinct_plain_and_within_each_doubled_block():
                     assert len(set(b_codes)) == len(b_codes), (version, key, mask)
 
 
+def product_pairs(fam, max_total):
+    keys = [fam.ops.keys_of_degree(d) for d in range(max_total + 1)]
+    for total in range(2, max_total + 1):
+        for d1 in range(1, total):
+            for a in keys[d1]:
+                for b in keys[total - d1]:
+                    yield a, b
+
+
+@pytest.mark.parametrize("version", sorted(FAMILIES))
+def test_products_list_their_words_in_engine_order(version):
+    # multiplicativity_ok then matches on its first, unsorted comparison.
+    fam, size = FAMILIES[version], 3
+    for a, b in product_pairs(fam, 4):
+        (key,) = fam.ops.product(a, b).terms
+        shift = code_base(size) ** a.n
+        firsts = fam.words(a, size)
+        expected = [w1 + w2 * shift for w2 in fam.words(b, size) for w1 in firsts]
+        assert fam.words(key, size) == expected, (version, a, b)
+
+
+def spy_comparisons(monkeypatch) -> list[bool]:
+    verdicts, compare = [], verify._concatenations_match
+
+    def spy(*args):
+        verdicts.append(compare(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify, "_concatenations_match", spy)
+    return verdicts
+
+
+def with_words(monkeypatch, fam, change):
+    """Register a copy of ``fam`` whose word lists pass through ``change``."""
+    def words(key, size, doubled=False):
+        return change(key, fam.words(key, size, doubled))
+
+    monkeypatch.setitem(realization.FAMILIES, fam.version, fam._replace(words=words))
+
+
+@pytest.mark.parametrize("version", sorted(FAMILIES))
+def test_multiplicativity_sorts_words_listed_out_of_engine_order(monkeypatch, version):
+    fam = FAMILIES[version]
+    with_words(monkeypatch, fam, lambda key, words: words[1:] + words[:1])
+    verdicts = spy_comparisons(monkeypatch)
+    for a, b in product_pairs(fam, 3):
+        verdicts.clear()
+        assert multiplicativity_ok(version, a, b, 3), (a, b)
+        assert verdicts == [False, True], (a, b)
+
+
+@pytest.mark.parametrize("version", sorted(FAMILIES))
+def test_multiplicativity_fails_on_a_missing_word(monkeypatch, version):
+    fam = FAMILIES[version]
+    dropped = lambda key, words: words[1:] if key.n == 3 else words
+    repeated = lambda key, words: words[1:2] + words[1:] if key.n == 3 else words
+    for change in (dropped, repeated):
+        with_words(monkeypatch, fam, change)
+        for a, b in product_pairs(fam, 3):
+            if a.n + b.n == 3:
+                assert not multiplicativity_ok(version, a, b, 3), (a, b)
+
+
 @pytest.mark.parametrize("version", ["v1", "v2", "func", "perm"])
 def test_multiplicativity_total_degree_3_at_n5(version):
     for d1 in (1, 2):
@@ -254,6 +318,41 @@ def test_witnesses_are_distinct_words_of_their_realizations():
             assert w in fam.words(key, size), (fam.version, key)
             seconds = [j for _, _, j in decode_word(w, size)]
             assert len(set(seconds)) == len(seconds) == key.n, (fam.version, key)
+
+
+@pytest.mark.parametrize("version", sorted(FAMILIES))
+def test_contains_matches_enumeration(version):
+    fam = FAMILIES[version]
+    for size in (2, 3, 4):
+        base, b_side = code_base(size), (size + 1) ** 2
+        for d in range(4):
+            keys = fam.ops.keys_of_degree(d)
+            realized = [set(fam.words(key, size)) for key in keys]
+            # every word, and its first letter's subscripts moved by one
+            shifts = (0, 1, -1, size + 1, -size - 1)
+            codes = {w + e for w in set().union(*realized) for e in shifts}
+            for key, words in zip(keys, realized):
+                for w in codes:
+                    assert fam.contains(key, w, size) == (w in words), (key, w, size)
+                for w in words:
+                    outside = [w + base**d * (size + 2)]  # one letter too many
+                    if d:
+                        outside.append(w % base ** (d - 1))  # one letter too few
+                        outside.append(w + b_side * base ** (d - 1))  # a B letter
+                    assert not any(fam.contains(key, v, size) for v in outside), (key, w, size)
+
+
+def raise_on_words(key, size, doubled=False):
+    raise AssertionError("the witness proof built words")
+
+
+@pytest.mark.parametrize(
+    "version, degree, size", [("v1", 4, 10), ("v2", 4, 10), ("func", 4, 10), ("func", 3, 8)]
+)
+def test_rank_check_proves_full_rank_building_no_words(version, degree, size):
+    fam = family(version)._replace(words=raise_on_words)
+    keys = fam.ops.keys_of_degree(degree)
+    assert rank_check(keys, fam, size).rank == len(keys)
 
 
 def oracle_rank(fam, keys, size):
