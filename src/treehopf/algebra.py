@@ -8,11 +8,13 @@ on {1..n} through :func:`register_map_algebra`), and the axiom checkers below
 (coassociativity, product/coproduct compatibility, antipode convolution)
 work uniformly over the registry.  Each check call computes the coproduct of
 each key and the product of each key pair once, from tables that live only
-for that call.  The antipode recursion S(x) = -x - sum S(x') x'' makes
-S * id = unit.counit hold by construction, so the antipode check tests
-id * S = unit.counit, the sum of a S(b) over Delta(x) = sum a (x) b.  Keys
-carry their own degree ``.n``, ``parse``, ``render()`` and ``sort_key()``;
-the unit key is ``parse("")``.
+for that call.  The coassociativity check sums (Delta (x) id)Delta(x) -
+(id (x) Delta)Delta(x) into one dict of triples: the two sides are equal
+exactly when every coefficient of the difference is zero.  The antipode
+recursion S(x) = -x - sum S(x') x'' makes S * id = unit.counit hold by
+construction, so the antipode check tests id * S = unit.counit, the sum of
+a S(b) over Delta(x) = sum a (x) b.  Keys carry their own degree ``.n``,
+``parse``, ``render()`` and ``sort_key()``; the unit key is ``parse("")``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from .structures import cut_terms
+from .structures import Table, cut_terms
 
 
 class AlgebraTagError(ValueError):
@@ -228,32 +230,12 @@ def tensor_product(t1: TensorElement, t2: TensorElement, rule: Callable | None =
     return TensorElement(t1.algebra, out)
 
 
-def _tabled(kernel: Callable) -> Callable:
-    """``kernel`` computed once per distinct argument tuple, in a table that
-    lives as long as the returned function (one check call)."""
-    table: dict = {}
-
-    def lookup(*keys):
-        value = table.get(keys)
-        if value is None:
-            value = table[keys] = kernel(*keys)
-        return value
-
-    return lookup
-
-
-def _triple_coproduct(coproduct: Callable, key, left_first: bool) -> dict:
-    """(Delta (x) id)Delta or (id (x) Delta)Delta applied to a basis key,
-    with ``coproduct`` the key coproduct."""
-    out: dict = {}
-    for (a, b), c in coproduct(key).terms.items():
-        if left_first:
-            for (x, y), d in coproduct(a).terms.items():
-                out[(x, y, b)] = out.get((x, y, b), 0) + c * d
-        else:
-            for (x, y), d in coproduct(b).terms.items():
-                out[(a, x, y)] = out.get((a, x, y), 0) + c * d
-    return {k: v for k, v in out.items() if v}
+def _tables(ops: AlgebraOps) -> tuple[Callable, Callable]:
+    """The product and coproduct of ``ops``, each computed once per distinct
+    argument in a table that lives as long as the returned functions (one
+    check call).  A coproduct hit is a dict lookup that runs no Python frame."""
+    products = Table(lambda pair: ops.product(*pair))
+    return (lambda a, b: products[a, b]), Table(ops.coproduct).__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +261,25 @@ class CheckReport:
 
 
 def check_coassociativity(tag: str, max_degree: int) -> CheckReport:
-    """(Delta (x) id)Delta = (id (x) Delta)Delta on every key of degree <= max_degree."""
+    """(Delta (x) id)Delta = (id (x) Delta)Delta on every key of degree <= max_degree.
+
+    The difference of the two sides is summed into one dict of triples, so
+    a key fails exactly when some coefficient of it is non-zero."""
     ops = get_algebra(tag)
     report = CheckReport("coassociativity", ops.tag)
-    coproduct = _tabled(ops.coproduct)
+    coproduct = Table(ops.coproduct)
     for n in range(max_degree + 1):
         for key in ops.keys_of_degree(n):
             report.checked += 1
-            if _triple_coproduct(coproduct, key, True) != _triple_coproduct(coproduct, key, False):
+            diff: dict = {}
+            for (a, b), c in coproduct[key].terms.items():
+                for (x, y), d in coproduct[a].terms.items():
+                    triple = (x, y, b)
+                    diff[triple] = diff.get(triple, 0) + c * d
+                for (x, y), d in coproduct[b].terms.items():
+                    triple = (a, x, y)
+                    diff[triple] = diff.get(triple, 0) - c * d
+            if any(diff.values()):
                 report.failures.append(key.render())
     return report
 
@@ -303,7 +296,7 @@ def check_bialgebra_compat(tag: str, max_degree: int, sample_degree: int | None 
     """
     ops = get_algebra(tag)
     report = CheckReport("bialgebra-compat", ops.tag)
-    product, coproduct = _tabled(ops.product), _tabled(ops.coproduct)
+    product, coproduct = _tables(ops)
 
     def check_pair(a, b):
         report.checked += 1
@@ -377,7 +370,7 @@ def check_antipode(tag: str, max_degree: int) -> CheckReport:
     ``antipode_key`` calls cannot change the verdict."""
     ops = get_algebra(tag)
     report = CheckReport("antipode-convolution", ops.tag)
-    product, coproduct = _tabled(ops.product), _tabled(ops.coproduct)
+    product, coproduct = _tables(ops)
     antipodes: dict = {}
     for n in range(1, max_degree + 1):
         for key in ops.keys_of_degree(n):
@@ -406,37 +399,44 @@ def element_to_json(x: FreeElement, basis: str | None = None) -> dict:
     }
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _coeff_from_json(raw) -> int:
     """A coefficient is a JSON integer or a string of decimal digits with an
     optional minus sign; floats, booleans, padding and underscores are
     rejected rather than truncated or coerced."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    if isinstance(raw, str) and re.fullmatch(r"-?[0-9]+", raw):
+    if isinstance(raw, str) and _INTEGER.fullmatch(raw):
         return int(raw)
     raise AlgebraTagError(f"bad coefficient {raw!r}")
 
 
-def _json_field(data, name: str, kind: type | None, what: str):
-    """data[name], which must hold a value of JSON type ``kind`` if given."""
+def _json_field(data, name: str, kind: type | None, what: Callable[[], str]):
+    """data[name], which must hold a value of JSON type ``kind`` if given;
+    ``what()`` names ``data`` in the error, formatted only when one is raised."""
     try:
         value = data[name]
     except (KeyError, TypeError) as exc:
-        raise AlgebraTagError(f"bad {what}: {exc}") from None
+        raise AlgebraTagError(f"bad {what()}: {exc}") from None
     if kind is not None and not isinstance(value, kind):
-        raise AlgebraTagError(f"bad {what}: {name!r} must be a {kind.__name__}, got {value!r}")
+        raise AlgebraTagError(f"bad {what()}: {name!r} must be a {kind.__name__}, got {value!r}")
     return value
 
 
 def _terms_from_json(data, fields: tuple[str, ...], what: str) -> tuple[AlgebraOps, dict]:
     """The algebra and summed terms of a JSON element (``fields`` ("key",))
     or tensor (("left", "right")); a wrong shape raises AlgebraTagError."""
-    ops = get_algebra(_json_field(data, "algebra", str, f"{what} JSON"))
+    whole = lambda: f"{what} JSON"
+    ops = get_algebra(_json_field(data, "algebra", str, whole))
+    parse = ops.parse_key
     terms: dict = {}
-    for entry in _json_field(data, "terms", list, f"{what} JSON"):
-        texts = [_json_field(entry, name, str, f"{what} term {entry!r}") for name in fields]
-        raw = _json_field(entry, "coeff", None, f"{what} term {entry!r}")
-        key = tuple(map(ops.parse_key, texts)) if len(texts) > 1 else ops.parse_key(texts[0])
+    for entry in _json_field(data, "terms", list, whole):
+        term = lambda: f"{what} term {entry!r}"
+        texts = [_json_field(entry, name, str, term) for name in fields]
+        raw = _json_field(entry, "coeff", None, term)
+        key = tuple(map(parse, texts)) if len(texts) > 1 else parse(texts[0])
         terms[key] = terms.get(key, 0) + _coeff_from_json(raw)
     return ops, terms
 

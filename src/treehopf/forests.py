@@ -12,8 +12,9 @@ rows differ only in how a map is read back as a key:
 * ``nck`` -- plane forests, stored as the parent vector of their depth-first
   labelling: concatenations and cut parts of such vectors are depth-first
   again, so the map reads back as the plane forest of its vector;
-* ``ck``  -- unlabelled rooted forests: the canonical form of that forest,
-  so the product is disjoint union.
+* ``ck``  -- unlabelled rooted forests, stored as their canonical parent
+  vector: the canonical vector of that forest, so the product is disjoint
+  union.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .structures import (
     PlaneForest,
     RootedForest,
     StructureError,
-    canonicalize,
+    canonical_parents,
     enumerate_ordered_forests,
     enumerate_plane_forests,
     enumerate_rooted_forests,
@@ -48,4 +49,4 @@ register_map_algebra("ho", OrderedForest, enumerate_ordered_forests, forest_imag
 register_map_algebra("nck", PlaneForest, enumerate_plane_forests, forest_image,
                      lambda image: forest_from_image(image, PlaneForest._of), CUTS)
 register_map_algebra("ck", RootedForest, enumerate_rooted_forests, forest_image,
-                     lambda image: canonicalize(forest_from_image(image, OrderedForest._of)), CUTS)
+                     lambda image: RootedForest._of(forest_from_image(image, canonical_parents)), CUTS)

@@ -16,26 +16,31 @@ Text formats (bit-exact):
   space-separated, e.g. ``"(()())"`` for a root with two leaf children.
 * ``RootedForest``   -- canonical form: each tree rendered as ``"("`` +
   lexicographically sorted child forms + ``")"``, trees sorted
-  lexicographically and space-separated.
+  lexicographically and space-separated.  It is the plane forest text of
+  the canonical vector, and ``parse`` reads any plane forest text.
 
-Ordered and plane forests, endofunctions, permutations and packed words are
-tuples of their vector, readable also as ``parent``, ``image`` or
-``letters``, so dicts of keys hash and compare them as tuples.  Two such keys
-of different types with equal vectors therefore compare equal, and each
-equals the plain tuple; no dict of the library holds keys of two types.
+Every key is a tuple of its vector, readable also as ``parent``, ``image`` or
+``letters``, so dicts of keys hash and compare them as tuples.  Two keys of
+different types with equal vectors therefore compare equal (a ``ck`` key, an
+``nck`` key and an ordered forest of one vector among them), and each equals
+the plain tuple; no dict of the library holds keys of two types.
 ``cls(vector)`` and ``cls.parse`` check their input; keys the library builds
 valid by construction (enumerations, products, cut parts) come from the
-unchecked ``cls._of(vector)``.
+unchecked ``cls._of(vector)``.  Keys of one degree sort by ``sort_key()``:
+by the vector, and plane and unlabelled forests by the negated vector,
+which is the order of their text.
 
-Every forest key stores or carries a parent vector ``parent``: an ordered
-forest is its vector, a plane forest the vector of its depth-first labelling,
-and an unlabelled forest the depth-first labelling of its canonical string.
+Every forest key is a parent vector ``parent``: an ordered forest is its
+vector, a plane forest the vector of its depth-first labelling, and an
+unlabelled forest the depth-first labelling of its canonical form
+(:func:`canonical_parents`).
 Every key is read as a map on {1..n}: an endofunction is its image vector,
 a forest its f_F (each vertex to its parent, each root to itself,
 :func:`forest_image`).
 The five cut coproducts split a key along the preimage-closed vertex sets of
-its map (:func:`cut_terms`), and the realization regimes link each position
-to its image.  Forests with prescribed parent choices (all forests, the
+its map (:func:`cut_terms`, which reads the vertices and ranks of each part
+from one table per size and vertex set), and the realization regimes link
+each position to its image.  Forests with prescribed parent choices (all forests, the
 down-sets and R products of :mod:`treehopf.bases`) come from one acyclic
 parent-vector search (:func:`acyclic_parent_vectors`).
 """
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -73,10 +77,14 @@ def _check_bound(n: int, bound: int | None, what: str) -> None:
         raise EnumerationBoundError(f"{what} at size {n} exceeds bound {limit}")
 
 
+_TOKEN = re.compile(r"[^ \t\n\r\f\v]+")
+_NATURAL = re.compile(r"[0-9]+")
+
+
 def _split_tokens(text: str) -> list[str]:
     """Tokens separated by ASCII whitespace; other spaces, such as U+3000,
     stay inside a token and fail its format check."""
-    return re.findall(r"[^ \t\n\r\f\v]+", text)
+    return _TOKEN.findall(text)
 
 
 def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
@@ -84,7 +92,7 @@ def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
     digits of other scripts, all of which ``int`` accepts, are rejected."""
     values = []
     for pos, token in enumerate(_split_tokens(text), start=1):
-        if not re.fullmatch(r"[0-9]+", token):
+        if not _NATURAL.fullmatch(token):
             raise FormatError(f"{what}: expected a natural number, got {token!r}", pos)
         values.append(int(token))
     return tuple(values)
@@ -298,23 +306,54 @@ def closed_subsets(image: Sequence[int], bound: int | None = None, what: str = "
     return masks
 
 
+class Table(dict):
+    """``fn`` as a dict: a missing key is filled with ``fn(key)`` on first
+    lookup, and a hit runs no Python frame."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _part_entry(size_and_part: tuple[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The 0-based indices of the vertices of ``part`` and their ranks: rank[w]
+    is the number of vertices of ``part`` up to w if w is one, else 0."""
+    n, part = size_and_part
+    indices = tuple([i for i in range(n) if part >> i & 1])
+    rank = [0] * (n + 1)
+    for k, i in enumerate(indices, start=1):
+        rank[i + 1] = k
+    return indices, tuple(rank)
+
+
+# One entry per (n, part) up to the enumeration bound, at most 2^(bound+1):
+# every cut coproduct checks the bound before it restricts.
+_PART_TABLE = Table(_part_entry)
+
+
 def restrict_image(image: Sequence[int], part: int) -> tuple[int, ...]:
     """The map on the vertex set ``part`` (a bitmask), standardized: a value
     escaping ``part`` becomes a fixed point, then the vertices of ``part``
     are renamed 1, 2, ... in increasing order, so vertex t becomes the
     number of vertices of ``part`` up to t."""
-    return tuple([(part & ((1 << (w if part >> (w - 1) & 1 else v)) - 1)).bit_count()
-                  for v, w in enumerate(image, start=1) if part >> (v - 1) & 1])
+    n = len(image)
+    indices, rank = _PART_TABLE[n, part] if n <= DEFAULT_ENUMERATION_BOUND else _part_entry((n, part))
+    return tuple([rank[image[i]] or rank[i + 1] for i in indices])
 
 
 def cut_terms(image: Sequence[int], make, what: str) -> dict:
     """The cut coproduct: make(Roo) (x) make(Lea) summed over the closed sets
     Lea, where Roo is the complement and each part a standardized restriction."""
     full = (1 << len(image)) - 1
-    part = lru_cache(maxsize=None)(make)  # parts repeat across the cuts of one key
+    part = Table(make)  # parts repeat across the cuts of one key
     terms: dict = {}
     for lea in closed_subsets(image, None, what):
-        pair = (part(restrict_image(image, full ^ lea)), part(restrict_image(image, lea)))
+        pair = (part[restrict_image(image, full ^ lea)], part[restrict_image(image, lea)])
         terms[pair] = terms.get(pair, 0) + 1
     return terms
 
@@ -358,7 +397,17 @@ class PlaneForest(_VectorKey):
             path.append(v)
 
     def render(self) -> str:
-        return _bracketed(self, list)
+        """One bracket group per tree, each vertex's children inside it."""
+        out: list[str] = []
+        path: list[int] = []  # the open vertices, root first
+        for v, p in enumerate(self, start=1):
+            while path and path[-1] != p:
+                path.pop()
+                out.append(")")
+            out.append("(" if path or not out else " (")
+            path.append(v)
+        out.append(")" * len(path))
+        return "".join(out)
 
     @classmethod
     def parse(cls, text: str) -> "PlaneForest":
@@ -381,10 +430,13 @@ class PlaneForest(_VectorKey):
                 raise FormatError("unbalanced '('", pos)
             if trees != 1:
                 raise FormatError("each token must be a single tree", pos)
-        return cls(tuple(parent))
+        return cls._of(parent)  # the depth-first labelling of balanced text
 
     def sort_key(self):
-        return (self.n, self.render())
+        """Within one degree, the order of the rendered strings: at the first
+        vertex where two depth-first vectors differ, the larger parent is the
+        one that opens a bracket where the other closes one."""
+        return (len(self), tuple([-p for p in self]))
 
 
 def shifted_parents(parent: Sequence[int], by: int, root: int = 0) -> tuple[int, ...]:
@@ -425,84 +477,71 @@ def ordered_to_plane(forest: OrderedForest) -> PlaneForest:
 # Unlabelled rooted forests (Connes-Kreimer keys)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootedForest:
-    """Unlabelled rooted forest, stored by its canonical string form.
+class RootedForest(_VectorKey):
+    """Unlabelled rooted forest, stored as its canonical parent vector
+    (:func:`canonical_parents`): the depth-first labelling of the plane
+    forest whose trees, and the children of each vertex, come in the order
+    of their bracket strings.  It renders as its canonical string."""
 
-    ``parent`` is the depth-first labelling of that string read as a plane
-    forest, computed once when the string is validated.
-    """
+    __slots__ = ()
+    _field = "parent"
+    parent = _VECTOR
+    render = PlaneForest.render
+    sort_key = PlaneForest.sort_key
 
-    canonical: str
-    __slots__ = ("canonical", "parent", "_hash")
-
-    def __post_init__(self):
-        parent = PlaneForest.parse(self.canonical).parent
-        if canonical_form(parent) != self.canonical:
-            raise StructureError(f"{self.canonical!r} is not in canonical form")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "_hash", hash((self.canonical,)))
-
-    @classmethod
-    def _of_canonical_form(cls, canonical: str) -> "RootedForest":
-        """The key of a string that :func:`canonical_form` returned: it is
-        canonical by construction, so only its vector is read off."""
-        key = object.__new__(cls)
-        object.__setattr__(key, "canonical", canonical)
-        object.__setattr__(key, "parent", PlaneForest.parse(canonical).parent)
-        object.__setattr__(key, "_hash", hash((canonical,)))
-        return key
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
-
-    def render(self) -> str:
-        return self.canonical
+    def _check(self):
+        PlaneForest._check(self)
+        if canonical_parents(self) != self:
+            raise StructureError(f"{self.render()!r} is not in canonical form")
 
     @classmethod
     def parse(cls, text: str) -> "RootedForest":
-        return cls._of_canonical_form(canonical_form(PlaneForest.parse(text).parent))
-
-    def sort_key(self):
-        return (self.n, self.canonical)
+        return cls._of(canonical_parents(PlaneForest.parse(text)))
 
 
-def _bracketed(parent: Sequence[int], arrange) -> str:
-    """The forest with this parent vector in parentheses: each tree is
-    ``"("`` + its child forms + ``")"``, trees space-separated, children
-    and trees taken in label order and put in order by ``arrange``."""
+_LEAF = (0, 1)
+
+
+def canonical_parents(parent: Sequence[int]) -> tuple[int, ...]:
+    """The canonical parent vector of the forest with this parent vector.
+
+    Each subtree is encoded bottom-up by its bracket word, a tuple with 0
+    for ``(`` and 1 for ``)``: such tuples order like the bracket strings,
+    and no tree's word is a prefix of another's.  Sorting the children's
+    words inside each tree and the trees' words gives the word of the
+    canonical string, whose depth-first labelling is the result.
+    """
     kids: list[list[int]] = [[] for _ in range(len(parent) + 1)]
     for v, p in enumerate(parent, start=1):
         kids[p].append(v)
-    order = [0]  # breadth-first from the roots, so children come after parents
+    order = kids[0][:]  # breadth-first from the roots, so children come after parents
     for v in order:
-        order.extend(kids[v])
-    form = [""] * len(kids)
-    for v in reversed(order[1:]):  # each vertex after its children, no recursion
-        form[v] = "(" + "".join(arrange(form[c] for c in kids[v])) + ")"
-    return " ".join(arrange(form[r] for r in kids[0]))
+        order += kids[v]
+    word = [_LEAF] * len(kids)
+    for v in reversed(order):  # each vertex after its children, no recursion
+        if kids[v]:
+            word[v] = (0, *itertools.chain.from_iterable(sorted([word[c] for c in kids[v]])), 1)
+    out: list[int] = []
+    path = [0]  # the open vertices below a virtual root 0
+    for bit in itertools.chain.from_iterable(sorted([word[r] for r in kids[0]])):
+        if bit:
+            path.pop()
+        else:
+            out.append(path[-1])
+            path.append(len(out))
+    return tuple(out)
 
 
-def canonical_form(parent: Sequence[int]) -> str:
-    """Canonical string of the forest with this parent vector: child forms
-    sorted inside each tree, trees sorted."""
-    return _bracketed(parent, sorted)
-
-
-def canonicalize(forest: OrderedForest) -> RootedForest:
-    """Forget the labels of an ordered forest."""
-    return RootedForest._of_canonical_form(canonical_form(forest.parent))
+def canonicalize(forest: OrderedForest | PlaneForest | RootedForest) -> RootedForest:
+    """Forget the labels of a forest key."""
+    return RootedForest._of(canonical_parents(forest.parent))
 
 
 def enumerate_rooted_forests(n: int, bound: int | None = None) -> list[RootedForest]:
-    """All canonical forms on n vertices, via plane representatives."""
+    """All unlabelled forests on n vertices, in ``sort_key`` order, via
+    plane representatives."""
     _check_bound(n, bound, "rooted forest enumeration")
-    forms = sorted({canonical_form(p.parent) for p in enumerate_plane_forests(n, bound)})
-    return [RootedForest._of_canonical_form(s) for s in forms]
+    return sorted({RootedForest._of(canonical_parents(p)) for p in _plane_vectors(n)}, key=RootedForest.sort_key)
 
 
 # ---------------------------------------------------------------------------

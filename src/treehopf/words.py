@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import AlgebraOps, FreeElement, TensorElement, register_algebra
-from .structures import PackedWord, _check_bound, enumerate_packed_words, pack
+from .structures import PackedWord, _check_bound, enumerate_packed_words
 
 
 def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
@@ -56,11 +56,12 @@ def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
 
 
 def wqsym_coproduct(u: PackedWord) -> TensorElement:
-    """Split the values of u at each threshold k, packing the upper part."""
+    """Split the values of u at each threshold k, packing the upper part:
+    the letters above k are k+1..max u, so subtracting k packs them."""
     terms: dict = {}
     for k in range(u.max_letter() + 1):
         low = PackedWord._of([a for a in u if a <= k])
-        high = pack([a for a in u if a > k])
+        high = PackedWord._of([a - k for a in u if a > k])
         pair = (low, high)
         terms[pair] = terms.get(pair, 0) + 1
     return TensorElement("wqsym", terms)

@@ -31,9 +31,7 @@ from treehopf.structures import (
     PackedWord,
     Permutation,
     PlaneForest,
-    RootedForest,
     StructureError,
-    canonicalize,
     enumerate_endofunctions,
     pack,
 )
@@ -228,9 +226,26 @@ def restrict_forest(forest: OrderedForest, vertices: Iterable[int]) -> OrderedFo
     return _forest(_restrict(_parent_map(forest), keep))
 
 
+# The ck oracles state their keys as canonical strings, built from
+# nested-tuple shapes (``canonical_form``), never through the library's
+# canonical vectors; ``comparable`` renders a ck result to match.
+
+def _canonical_string(forest: OrderedForest) -> str:
+    return canonical_form(forest_shape(forest))
+
+
+def comparable(x: FreeElement | TensorElement) -> FreeElement | TensorElement:
+    """``x`` as the oracles state it: ck keys rendered, other keys as they are."""
+    if x.algebra != "ck":
+        return x
+    if isinstance(x, TensorElement):
+        return TensorElement("ck", {(a.render(), b.render()): c for (a, b), c in x.terms.items()})
+    return FreeElement("ck", {k.render(): c for k, c in x.terms.items()})
+
+
 COPRODUCTS = {
     "ho": lambda f: _cut_coproduct("ho", _parent_map(f), _forest),
-    "ck": lambda f: _cut_coproduct("ck", _parent_map(f), lambda image: canonicalize(_forest(image))),
+    "ck": lambda f: _cut_coproduct("ck", _parent_map(f), lambda image: _canonical_string(_forest(image))),
     "nck": lambda f: _cut_coproduct("nck", _parent_map(f), lambda image: plane_from_labelling(_forest(image))),
     "efsym": lambda f: _cut_coproduct("efsym", f.image, Endofunction),
     "sgsym": lambda s: _cut_coproduct("sgsym", s.image, Permutation),
@@ -245,8 +260,8 @@ def product_key(tag: str, a, b):
 
 
 # The products key by key, each in its own terms: parent vectors shifted for
-# ordered and plane forests, canonical trees sorted for unlabelled ones,
-# image vectors shifted for endofunctions and permutations.
+# ordered and plane forests, the canonical string of the union for
+# unlabelled ones, image vectors shifted for endofunctions and permutations.
 
 def _shifted_union(a, b) -> tuple[int, ...]:
     return a.parent + tuple(p + a.n if p else 0 for p in b.parent)
@@ -255,7 +270,7 @@ def _shifted_union(a, b) -> tuple[int, ...]:
 PRODUCTS = {
     "ho": lambda a, b: OrderedForest(_shifted_union(a, b)),
     "nck": lambda a, b: PlaneForest(_shifted_union(a, b)),
-    "ck": lambda a, b: RootedForest(" ".join(sorted(a.canonical.split() + b.canonical.split()))),
+    "ck": lambda a, b: _canonical_string(OrderedForest(_shifted_union(a, b))),
     "efsym": lambda f, g: Endofunction(f.image + tuple(v + f.n for v in g.image)),
     "sgsym": lambda s, t: Permutation(s.image + tuple(v + s.n for v in t.image)),
 }

@@ -49,7 +49,7 @@ def test_add_cancels_and_merges():
 
 def test_tag_mismatch_raises():
     x = elt([(KEYS[0], 1)])
-    y = FreeElement("ck", {RootedForest("()"): 1})
+    y = FreeElement("ck", {RootedForest.parse("()"): 1})
     with pytest.raises(AlgebraTagError):
         x + y
     with pytest.raises(AlgebraTagError):
@@ -116,10 +116,10 @@ def test_elements_and_tensors_stay_apart():
 
 def test_antipode_examples():
     assert antipode(unit_element("ck")) == unit_element("ck")
-    vertex = RootedForest("()")
+    vertex = RootedForest.parse("()")
     assert antipode_key("ck", vertex) == FreeElement("ck", {vertex: -1})
-    chain = RootedForest("(())")
-    two_vertices = RootedForest("() ()")
+    chain = RootedForest.parse("(())")
+    two_vertices = RootedForest.parse("() ()")
     assert antipode_key("ck", chain) == FreeElement("ck", {chain: -1, two_vertices: 1})
 
 

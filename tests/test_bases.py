@@ -203,11 +203,11 @@ def test_rhat_well_defined_over_all_labellings_degree_4():
 
 
 def test_rhat_table_spot_values():
-    tun, tdeux = RootedForest("()"), RootedForest("(())")
+    tun, tdeux = RootedForest.parse("()"), RootedForest.parse("(())")
     assert r_commutative(tun) == FreeElement("ck", {tun: 1})
     assert r_commutative(tdeux) == FreeElement("ck", {tdeux: 1})
-    assert r_commutative(RootedForest("() ()")) == FreeElement(
-        "ck", {RootedForest("() ()"): 1, tdeux: -2}
+    assert r_commutative(RootedForest.parse("() ()")) == FreeElement(
+        "ck", {RootedForest.parse("() ()"): 1, tdeux: -2}
     )
 
 

@@ -64,11 +64,11 @@ def test_ho_coproduct_examples():
 
 
 def test_ck_product_is_commutative_and_canonical():
-    vertex = RootedForest("()")
-    chain = RootedForest("(())")
-    assert product_key("ck", vertex, chain) == product_key("ck", chain, vertex) == RootedForest("(()) ()")
-    assert product_key("ck", vertex, RootedForest("")) == vertex
-    assert product_key("ck", vertex, vertex) == RootedForest("() ()")
+    vertex = RootedForest.parse("()")
+    chain = RootedForest.parse("(())")
+    assert product_key("ck", vertex, chain) == product_key("ck", chain, vertex) == RootedForest.parse("(()) ()")
+    assert product_key("ck", vertex, RootedForest.parse("")) == vertex
+    assert product_key("ck", vertex, vertex) == RootedForest.parse("() ()")
 
 
 def test_ck_product_associative_and_commutative():
@@ -92,9 +92,9 @@ def test_ck_product_associative_and_commutative():
 
 
 def test_ck_coproduct_merges_symmetric_cuts():
-    two = RootedForest("() ()")
-    vertex = RootedForest("()")
-    empty = RootedForest("")
+    two = RootedForest.parse("() ()")
+    vertex = RootedForest.parse("()")
+    empty = RootedForest.parse("")
     assert get_algebra("ck").coproduct(two) == tensor(
         "ck", [(two, empty, 1), (empty, two, 1), (vertex, vertex, 2)]
     )
@@ -110,7 +110,7 @@ def test_ck_is_cocommutative_up_to_degree_2_but_not_3():
 
         for key in enumerate_rooted_forests(n):
             assert flip(get_algebra("ck").coproduct(key)) == get_algebra("ck").coproduct(key)
-    cherry = RootedForest("(()())")
+    cherry = RootedForest.parse("(()())")
     assert flip(get_algebra("ck").coproduct(cherry)) != get_algebra("ck").coproduct(cherry)
 
 

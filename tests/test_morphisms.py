@@ -233,7 +233,7 @@ def test_ck_projection_examples_and_surjectivity():
     x = FreeElement("ho", {F("0 1"): 1, F("2 0"): 1})
     from treehopf.structures import RootedForest
 
-    assert ck_projection(x) == FreeElement("ck", {RootedForest("(())"): 2})
+    assert ck_projection(x) == FreeElement("ck", {RootedForest.parse("(())"): 2})
     for n in range(5):
         hit = {canonicalize(f) for f in enumerate_ordered_forests(n)}
         assert hit == set(enumerate_rooted_forests(n))

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import ancestors, restrict_forest
+from treehopf import structures
 from treehopf.algebra import FreeElement, get_algebra
+from treehopf.endo import std_restrict
 from treehopf.structures import (
+    DEFAULT_ENUMERATION_BOUND,
     Endofunction,
     EnumerationBoundError,
     FormatError,
@@ -133,8 +136,8 @@ def test_canonicalize_classifies_up_to_isomorphism(n):
 
 def test_rooted_forest_parse_normalizes():
     assert RootedForest.parse("() (())") == RootedForest.parse("(()) ()")
-    with pytest.raises(StructureError):
-        RootedForest("() (())")  # not sorted, hence not canonical
+    with pytest.raises(StructureError, match="not in canonical form"):
+        RootedForest((0, 0, 2))  # "() (())": not sorted, hence not canonical
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,7 @@ def test_admissible_cut_counts():
     forked = OrderedForest.parse("4 0 2 2")
     assert len(enumerate_admissible_cuts(forked)) == 7
     # same count through the unlabelled and plane interfaces (one cut per coproduct term)
-    assert len(enumerate_admissible_cuts(RootedForest("((())())"))) == 7
+    assert len(enumerate_admissible_cuts(RootedForest.parse("((())())"))) == 7
     assert len(enumerate_admissible_cuts(PlaneForest.parse("((())())"))) == 7
 
 
@@ -262,13 +265,13 @@ def test_nck_cuts_are_the_cuts_of_the_depth_first_labelling():
 def test_lea_roo_on_unlabelled_forests():
     # Roo (x) Lea terms of the ck coproduct of ((())()), whose depth-first
     # labelling is 0 1 2 1: cutting nothing, the root, vertex 3 and vertex 2.
-    tree = RootedForest("((())())")
-    empty = RootedForest("")
+    tree = RootedForest.parse("((())())")
+    empty = RootedForest.parse("")
     terms = get_algebra("ck").coproduct(tree).terms
     assert terms[tree, empty] == 1
     assert terms[empty, tree] == 1
-    assert terms[RootedForest("(()())"), RootedForest("()")] == 1
-    assert terms[RootedForest("(())"), RootedForest("(())")] == 1
+    assert terms[RootedForest.parse("(()())"), RootedForest.parse("()")] == 1
+    assert terms[RootedForest.parse("(())"), RootedForest.parse("(())")] == 1
 
 
 def test_lea_roo_examples():
@@ -354,8 +357,9 @@ VECTOR_KEYS = {
     Endofunction: enumerate_endofunctions,
     Permutation: enumerate_permutations,
     PackedWord: enumerate_packed_words,
+    RootedForest: enumerate_rooted_forests,
 }
-MAP_ALGEBRAS = ["ho", "nck", "efsym", "sgsym"]
+MAP_ALGEBRAS = ["ho", "nck", "efsym", "sgsym", "ck"]
 
 
 def assert_valid(key, key_type):
@@ -394,6 +398,7 @@ def test_key_repr_keeps_the_field_form():
     assert repr(Permutation.parse("2 1")) == "Permutation(image=(2, 1))"
     assert repr(PackedWord.parse("1 2 1")) == "PackedWord(letters=(1, 2, 1))"
     assert repr(OrderedForest.parse("")) == "OrderedForest(parent=())"
+    assert repr(RootedForest.parse("() (())")) == "RootedForest(parent=(0, 1, 0))"
 
 
 @pytest.mark.parametrize("key_type", list(VECTOR_KEYS))
@@ -410,7 +415,31 @@ def test_pickle_and_copy_go_through_the_checking_constructor(key_type):
 def test_keys_of_equal_vectors_compare_equal_but_elements_do_not():
     # Keys are tuples, so keys of two types with one vector are equal; an
     # element is tagged with its algebra, so elements of two algebras differ.
-    assert OrderedForest((0, 1)) == PlaneForest((0, 1)) == (0, 1)
+    assert OrderedForest((0, 1)) == PlaneForest((0, 1)) == RootedForest((0, 1)) == (0, 1)
     assert Endofunction((2, 1)) == Permutation((2, 1)) == (2, 1)
     assert FreeElement("ho", {OrderedForest((0, 1)): 1}) != FreeElement("nck", {PlaneForest((0, 1)): 1})
     assert FreeElement("efsym", {Endofunction((2, 1)): 1}) != FreeElement("sgsym", {Permutation((2, 1)): 1})
+    assert FreeElement("ck", {RootedForest((0, 1)): 1}) != FreeElement("nck", {PlaneForest((0, 1)): 1})
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_sort_key_orders_plane_and_rooted_forests_like_their_text(n):
+    for keys in (enumerate_plane_forests(n), enumerate_rooted_forests(n)):
+        assert sorted(keys, key=lambda key: key.sort_key()) == sorted(keys, key=lambda key: key.render())
+    rooted = enumerate_rooted_forests(n)
+    assert rooted == sorted(rooted, key=lambda key: key.render())
+
+
+def test_part_table_stays_bounded():
+    limit = 2 ** (DEFAULT_ENUMERATION_BOUND + 1)
+    edgeless = OrderedForest((0,) * DEFAULT_ENUMERATION_BOUND)  # every vertex set is a cut
+    assert sum(get_algebra("ho").coproduct(edgeless).terms.values()) == 2 ** DEFAULT_ENUMERATION_BOUND
+    for tag in ("ck", "efsym"):
+        for x in get_algebra(tag).keys_of_degree(4):
+            get_algebra(tag).coproduct(x)
+    size = len(structures._PART_TABLE)
+    assert 2 ** DEFAULT_ENUMERATION_BOUND <= size < limit
+    # restrictions past the bound are computed, not stored
+    wide = Endofunction(tuple(range(1, 13)))
+    assert std_restrict(wide, range(2, 13, 2)) == Endofunction(tuple(range(1, 7)))
+    assert len(structures._PART_TABLE) == size
