@@ -22,10 +22,9 @@ whereas the R product keeps its combinatorial description either way.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .algebra import AlgebraTagError, FreeElement, accumulate
+from .algebra import AlgebraTagError, FreeElement
 from .endo import is_acyclic
 from .structures import (
     Endofunction,
@@ -106,27 +105,15 @@ def r_product_forest(left: OrderedForest, right: OrderedForest) -> FreeElement:
 
 def r_commutative(forest: RootedForest) -> FreeElement:
     """Image of R_F in the commutative algebra, independent of the labelling."""
-    labelled = OrderedForest(forest.parent)
-    out: dict = {}
-    for g, coeff in r_from_s_forest(labelled).terms.items():
-        shape = canonicalize(g)
-        out[shape] = out.get(shape, 0) + coeff
-    return FreeElement("ck", out)
-
-
-@lru_cache(maxsize=None)
-def _ck_s_in_r(forest: RootedForest) -> FreeElement:
-    # R^F = S^F + (strictly more edges); unwind the unitriangular expansion.
-    out = {forest: 1}
-    for g, coeff in r_commutative(forest).terms.items():
-        if g != forest:
-            accumulate(out, _ck_s_in_r(g).terms, -coeff)
-    return FreeElement("ck", out)
+    return r_from_s_forest(OrderedForest(forest.parent)).map_keys(canonicalize, algebra="ck")
 
 
 def ck_s_in_r(forest: RootedForest) -> FreeElement:
+    """S^F in the commutative R basis: the image of S^F = sum of R_g over
+    the down-set of a labelling of F, so R^G counts the forests of shape G
+    in that down-set."""
     _check_r_bound(forest.n, "commutative R basis")
-    return _ck_s_in_r(forest)
+    return s_in_r_forest(OrderedForest(forest.parent)).map_keys(canonicalize, algebra="ck")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ command writes deterministic output to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .algebra import (
     tensor_to_json,
 )
 from .morphisms import MAPS
-from .realization import FAMILIES, family, polynomial_to_json
+from .realization import FAMILIES, code_base, family
 from .structures import EnumerationBoundError, FormatError, StructureError
 
 
@@ -35,12 +36,20 @@ class UsageError(Exception):
 CONFIG_KEYS = ("enumeration_bound", "default_indices")
 
 
+def _parse_json(text: str, what: str):
+    """``text`` as JSON; nesting past the recursion limit is a parse error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise UsageError(f"{what} JSON is nested too deeply") from None
+
+
 def _load_config(path: str | None) -> dict:
     """The --config file: a JSON object of known keys holding integers."""
     if not path:
         return {}
     with open(path) as fh:
-        config = json.load(fh)
+        config = _parse_json(fh.read(), "config")
     if not isinstance(config, dict):
         raise UsageError(f"config must be a JSON object, got {type(config).__name__}")
     for key in config:
@@ -60,7 +69,7 @@ def _read_element(path: str, algebra: str | None, basis: str | None = None) -> F
     else:
         with open(path) as fh:
             text = fh.read()
-    x, found = element_from_json(json.loads(text))
+    x, found = element_from_json(_parse_json(text, "element"))
     if algebra is not None and x.algebra != algebra:
         raise UsageError(f"element is tagged {x.algebra}, not {algebra}")
     expected = basis or get_algebra(x.algebra).default_basis
@@ -116,7 +125,32 @@ def cmd_realize(args, config: dict) -> int:
     obj = fam.ops.parse_key(args.object)
     if size is None:
         size = 2 * (obj.n if obj.n else 1) + 2
-    _emit(polynomial_to_json(fam.realize(obj, size), args.version))
+    # Every word of one key has n letters, so letter order is the order of
+    # the codes read as big-endian digits (the first letter most
+    # significant).  The words of one key are distinct: each coefficient is 1.
+    codes = list(fam.words(obj, size))
+    base, k = code_base(size), size + 1
+    for t, code in enumerate(codes):
+        big = 0
+        for _ in range(obj.n):
+            code, d = divmod(code, base)
+            big = big * base + d
+        codes[t] = big
+    codes.sort()
+    letters: dict[int, str] = {}  # digit -> its JSON text, for the digits met
+    out = sys.stdout
+    out.write(f'{{"version":{json.dumps(args.version.upper())},"N":{size},"terms":[')
+    for t, code in enumerate(codes):
+        word = []
+        for _ in range(obj.n):
+            code, d = divmod(code, base)
+            if d not in letters:
+                side, i = divmod(d // k, k)
+                letters[d] = f'["{"AB"[side]}",{i},{d % k}]'
+            word.append(letters[d])
+        word.reverse()
+        out.write(f'{"," if t else ""}{{"coeff":"1","word":[{",".join(word)}]}}')
+    out.write("]}\n")
     return 0
 
 
@@ -214,12 +248,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _exact_integers():
+    """Lift CPython's limit on int <-> str conversion (3.11 and later) while
+    a command runs, so coefficients of any length are read and printed."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return COMMANDS[args.command](args, config)
+        with _exact_integers():
+            config = _load_config(args.config)
+            return COMMANDS[args.command](args, config)
     except (UsageError, FormatError, StructureError, AlgebraTagError, EnumerationBoundError,
             json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -16,10 +16,10 @@ in the target's default basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from math import comb
 from typing import Callable, NamedTuple
 
-from .algebra import FreeElement, TensorElement, accumulate, coproduct_element, product_elements, unit_element
+from .algebra import FreeElement, TensorElement, coproduct_element, unit_element
 from .endo import is_acyclic
 from .realization import pi_image, rank_of_rows
 from .structures import (
@@ -33,9 +33,7 @@ from .structures import (
     forest_from_image,
     forest_image,
     ordered_to_plane,
-    pack,
     plane_to_ordered,
-    relabel_forest,
     shifted_parents,
 )
 from .words import b_endomorphism  # noqa: F401  (re-export beside b_plus)
@@ -72,35 +70,33 @@ def b_plus(x):
 
 
 def minimal_admissible_word(forest: OrderedForest) -> PackedWord:
-    """Lexicographically smallest packed word appearing in pi(F)."""
-    candidates = pi_image(forest).terms
-    if not candidates:
-        raise StructureError("pi image is empty")
-    return min(candidates, key=lambda m: m.letters)
+    """Lexicographically smallest packed word appearing in pi(F).
+
+    Every word of pi(F) rises along each edge, so it is at least depth + 1
+    at every vertex; the word of depths + 1 is packed and rises along each
+    edge, so it is the smallest.
+    """
+    parent = forest.parent
+    level = [0] + [None] * forest.n  # depth + 1 of each vertex, once known
+    for v in range(1, forest.n + 1):
+        path = []
+        while level[v] is None:
+            path.append(v)
+            v = parent[v - 1]
+        for k, u in enumerate(reversed(path), start=level[v] + 1):
+            level[u] = k
+    return PackedWord._of(level[1:])
 
 
 def f_w_preimage(w: PackedWord) -> OrderedForest:
     """An ordered forest whose pi image has w as its smallest packed word.
 
-    Nondecreasing words either split off a repeated initial 1 or apply B+;
-    otherwise the stable sorting permutation rearranges the vertex labels of
-    the preimage of the sorted word.
+    Position i hangs from the last position holding w_i - 1, or is a root
+    when w_i = 1.  Parents hold smaller letters, so the vector is acyclic,
+    and each vertex has depth w_i - 1.
     """
-    n = w.n
-    if n == 0:
-        return OrderedForest(())
-    if n == 1:
-        return OrderedForest((0,))
-    a = w.letters
-    if all(a[i] <= a[i + 1] for i in range(n - 1)):
-        if a[0] == a[1]:
-            return OrderedForest((0,) + shifted_parents(f_w_preimage(PackedWord(a[1:])).parent, 1))
-        return b_plus(f_w_preimage(pack(a[1:])))
-    positions = sorted(range(n), key=lambda p: (a[p], p))
-    sorted_word = pack(tuple(a[p] for p in positions))
-    base = f_w_preimage(sorted_word)
-    new_label = {v: positions[v - 1] + 1 for v in range(1, n + 1)}
-    return relabel_forest(base, new_label)
+    last = {a: i for i, a in enumerate(w.letters, start=1)}  # letter -> its last position
+    return OrderedForest._of(tuple(last.get(a - 1, 0) for a in w.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +176,23 @@ ck_projection = MAPS["ck"].apply  # the projection onto the commutative algebra
 # Noncommutative Faa di Bruno
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _plane_sum(n: int) -> FreeElement:
-    """U_n: every plane forest with n vertices, coefficient one."""
-    return FreeElement("nck", {p: 1 for p in enumerate_plane_forests(n)})
+def _u_power(m: int, n: int) -> FreeElement:
+    """(U^m)_n for U the sum of all plane forests: a forest of t trees is
+    a concatenation of m plane forests in C(t + m - 1, m - 1) ways, one per
+    split of its trees into m runs, some of them empty."""
+    if m == 0:
+        return unit_element("nck") if n == 0 else FreeElement("nck")
+    return FreeElement("nck", {p: comb(p.parent.count(0) + m - 1, m - 1) for p in enumerate_plane_forests(n)})
 
 
-@lru_cache(maxsize=None)
 def faa_di_bruno_z(n: int) -> FreeElement:
     """Z_n, the degree-n component of Z = U^2."""
-    out: dict = {}
-    for k in range(n + 1):
-        accumulate(out, product_elements(_plane_sum(k), _plane_sum(n - k)).terms)
-    return FreeElement("nck", out)
+    return _u_power(2, n)
 
 
-@lru_cache(maxsize=None)
 def z_power_component(power: int, n: int) -> FreeElement:
-    """(Z^power)_n by graded convolution; power 0 is the unit series."""
-    if power == 0:
-        return unit_element("nck") if n == 0 else FreeElement("nck")
-    out: dict = {}
-    for k in range(n + 1):
-        accumulate(out, product_elements(z_power_component(power - 1, k), faa_di_bruno_z(n - k)).terms)
-    return FreeElement("nck", out)
+    """(Z^power)_n = (U^(2 power))_n; power 0 is the unit series."""
+    return _u_power(2 * power, n)
 
 
 def check_faa_di_bruno(n: int) -> bool:
@@ -246,9 +235,7 @@ def pi_restricted_rank(max_degree: int) -> PiRankReport:
     minima_ok = True
     for d in range(1, max_degree + 1):
         labelled = [plane_to_ordered(p) for p in enumerate_plane_forests(d)]
-        images = [pi_image(f) for f in labelled]
-        rows = [{k: c for k, c in img.terms.items()} for img in images]
-        per_degree[d] = (len(labelled), rank_of_rows(rows))
+        per_degree[d] = (len(labelled), rank_of_rows([pi_image(f).terms for f in labelled]))
         minima = [minimal_admissible_word(f) for f in labelled]
         if len(set(minima)) != len(minima):
             minima_ok = False

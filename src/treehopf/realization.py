@@ -693,18 +693,3 @@ def rank_check(keys: Iterable, fam: RealizationFamily, size: int, label: str = "
             return RankReport(label, len(keys), len(keys))
     rows = [fam.realize(key, size).codes for key in keys]
     return RankReport(label, len(keys), rank_of_rows(rows))
-
-
-# ---------------------------------------------------------------------------
-# JSON dump (CLI `realize`)
-# ---------------------------------------------------------------------------
-
-def polynomial_to_json(poly: NCPolynomial, version: str) -> dict:
-    words = sorted(poly.terms.items(), key=lambda kv: kv[0])
-    return {
-        "version": version.upper(),
-        "N": poly.size,
-        "terms": [
-            {"coeff": str(c), "word": [[s, i, j] for (s, i, j) in w]} for w, c in words
-        ],
-    }

@@ -198,16 +198,6 @@ class OrderedForest(_VectorKey):
         return kids
 
 
-def relabel_forest(forest: OrderedForest, new_label: dict[int, int]) -> OrderedForest:
-    """Rename vertex v to new_label[v]; new_label must be a bijection onto {1..n}."""
-    n = forest.n
-    parent = [0] * n
-    for v in range(1, n + 1):
-        p = forest.parent[v - 1]
-        parent[new_label[v] - 1] = 0 if p == 0 else new_label[p]
-    return OrderedForest(tuple(parent))
-
-
 def acyclic_parent_vectors(choices: Sequence[Sequence[int]]) -> list[OrderedForest]:
     """Every forest whose vertex v takes its parent from ``choices[v-1]``
     (ascending, 0 for a root), lexicographic in the parent vector.

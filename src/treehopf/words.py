@@ -22,37 +22,23 @@ def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
 
     Such a w is alpha(u) . beta(v) for one pair of strictly increasing maps
     alpha: {1..max u} -> {1..r}, beta: {1..max v} -> {1..r} whose images
-    together cover {1..r} (Hoffman's quasi-shuffle).  The pairs are built
-    value by value: the next value k of the chain is taken by the next
-    value of u, the next value of v, or both.  Every coefficient is 1.
+    together cover {1..r} (Hoffman's quasi-shuffle).  For each r, alpha is
+    any max u values of {1..r}; beta takes the other r - max u values and
+    max u + max v - r of alpha's.  Every coefficient is 1.
     """
     _check_bound(u.n + v.n, None, "packed word enumeration")
     p, q = u.max_letter(), v.max_letter()
-    alpha: list[int] = []
-    beta: list[int] = []
     words: list[tuple[int, ...]] = []
-
-    def merge(k: int):
-        i, j = len(alpha), len(beta)
-        if i == p and j == q:
-            words.append(tuple(alpha[a - 1] for a in u.letters) + tuple(beta[b - 1] for b in v.letters))
-            return
-        if i < p:
-            alpha.append(k)
-            merge(k + 1)
-            if j < q:
-                beta.append(k)
-                merge(k + 1)
-                beta.pop()
-            alpha.pop()
-        if j < q:
-            beta.append(k)
-            merge(k + 1)
-            beta.pop()
-
-    merge(1)
+    for r in range(max(p, q), p + q + 1):
+        values = range(1, r + 1)
+        for alpha in itertools.combinations(values, p):
+            prefix = tuple([alpha[a - 1] for a in u.letters])
+            rest = [k for k in values if k not in alpha]
+            for shared in itertools.combinations(alpha, p + q - r):
+                beta = sorted(rest + list(shared)) if shared else rest
+                words.append(prefix + tuple([beta[b - 1] for b in v.letters]))
     words.sort()
-    return FreeElement("wqsym", {PackedWord._of(w): 1 for w in words})
+    return FreeElement("wqsym", dict.fromkeys(map(PackedWord._of, words), 1))
 
 
 def wqsym_coproduct(u: PackedWord) -> TensorElement:

@@ -14,6 +14,10 @@ subtrees here; the library stores the parent vector of their depth-first
 labelling.  The products of the five map algebras are stated on each key
 type's own data (parent vectors, canonical strings, image vectors); the
 library shifts and concatenates the maps and reads the result back.
+Five constructions the library writes in closed form are kept here as the
+recursions that first built them: F_w, the minimal pi word, the Faa di
+Bruno powers, S in the commutative R basis and the WQSym quasi-shuffle.
+The ``realize`` JSON is built here as one dict, which the CLI streams.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from treehopf.algebra import FreeElement, TensorElement, get_algebra
+from treehopf.algebra import FreeElement, TensorElement, accumulate, get_algebra, product_elements, unit_element
+from treehopf.bases import r_commutative
 from treehopf.endo import std_restrict
+from treehopf.morphisms import b_plus
 from treehopf.realization import Letter, Word, _check_truncation, code_base, family
 from treehopf.structures import (
     Endofunction,
@@ -33,7 +39,9 @@ from treehopf.structures import (
     PlaneForest,
     StructureError,
     enumerate_endofunctions,
+    enumerate_plane_forests,
     pack,
+    shifted_parents,
 )
 
 
@@ -517,3 +525,125 @@ def doubling_transport_ok(version: str, key, size: int) -> bool:
                 pair = (w1, w2)
                 expected[pair] = expected.get(pair, 0) + coeff
     return grouped == expected
+
+
+# The recursions behind the library's closed forms.
+
+def relabel_forest(forest: OrderedForest, new_label: dict[int, int]) -> OrderedForest:
+    """Rename vertex v to new_label[v]; new_label must be a bijection onto {1..n}."""
+    n = forest.n
+    parent = [0] * n
+    for v in range(1, n + 1):
+        p = forest.parent[v - 1]
+        parent[new_label[v] - 1] = 0 if p == 0 else new_label[p]
+    return OrderedForest(tuple(parent))
+
+
+def f_w_preimage(w: PackedWord) -> OrderedForest:
+    """Nondecreasing words either split off a repeated initial 1 or apply B+;
+    otherwise the stable sorting permutation rearranges the vertex labels of
+    the preimage of the sorted word."""
+    n = w.n
+    if n == 0:
+        return OrderedForest(())
+    if n == 1:
+        return OrderedForest((0,))
+    a = w.letters
+    if all(a[i] <= a[i + 1] for i in range(n - 1)):
+        if a[0] == a[1]:
+            return OrderedForest((0,) + shifted_parents(f_w_preimage(PackedWord(a[1:])).parent, 1))
+        return b_plus(f_w_preimage(pack(a[1:])))
+    positions = sorted(range(n), key=lambda p: (a[p], p))
+    base = f_w_preimage(pack(tuple(a[p] for p in positions)))
+    return relabel_forest(base, {v: positions[v - 1] + 1 for v in range(1, n + 1)})
+
+
+def minimal_pi_words(n: int) -> dict[tuple[int, ...], PackedWord]:
+    """Parent vector -> the smallest word of its pi image, for every ordered
+    forest on n vertices.  Packed words are read in lexicographic order; a
+    word lies in pi(F) when every parent of F holds a smaller letter than
+    its child, so the first word that admits F is its smallest."""
+    first: dict[tuple[int, ...], PackedWord] = {}
+    for w in packed_words(n):
+        choices = [[0] + [j for j in range(1, n + 1) if w.letters[j - 1] < a] for a in w.letters]
+        for parent in itertools.product(*choices):
+            first.setdefault(parent, w)
+    return first
+
+
+@lru_cache(maxsize=None)
+def plane_sum(n: int) -> FreeElement:
+    """U_n: every plane forest with n vertices, coefficient one."""
+    return FreeElement("nck", {p: 1 for p in enumerate_plane_forests(n)})
+
+
+@lru_cache(maxsize=None)
+def faa_di_bruno_z(n: int) -> FreeElement:
+    """Z_n = sum_k U_k U_{n-k}."""
+    out: dict = {}
+    for k in range(n + 1):
+        accumulate(out, product_elements(plane_sum(k), plane_sum(n - k)).terms)
+    return FreeElement("nck", out)
+
+
+@lru_cache(maxsize=None)
+def z_power_component(power: int, n: int) -> FreeElement:
+    """(Z^power)_n by graded convolution; power 0 is the unit series."""
+    if power == 0:
+        return unit_element("nck") if n == 0 else FreeElement("nck")
+    out: dict = {}
+    for k in range(n + 1):
+        accumulate(out, product_elements(z_power_component(power - 1, k), faa_di_bruno_z(n - k)).terms)
+    return FreeElement("nck", out)
+
+
+@lru_cache(maxsize=None)
+def ck_s_in_r(forest) -> FreeElement:
+    """R^F = S^F + (strictly more edges): unwind the unitriangular expansion."""
+    out = {forest: 1}
+    for g, coeff in r_commutative(forest).terms.items():
+        if g != forest:
+            accumulate(out, ck_s_in_r(g).terms, -coeff)
+    return FreeElement("ck", out)
+
+
+def wqsym_quasi_shuffle(u: PackedWord, v: PackedWord) -> FreeElement:
+    """M_u M_v built value by value: the next value k of the chain is taken
+    by the next value of u, the next value of v, or both."""
+    p, q = u.max_letter(), v.max_letter()
+    alpha: list[int] = []
+    beta: list[int] = []
+    words: list[tuple[int, ...]] = []
+
+    def merge(k: int):
+        i, j = len(alpha), len(beta)
+        if i == p and j == q:
+            words.append(tuple(alpha[a - 1] for a in u.letters) + tuple(beta[b - 1] for b in v.letters))
+            return
+        if i < p:
+            alpha.append(k)
+            merge(k + 1)
+            if j < q:
+                beta.append(k)
+                merge(k + 1)
+                beta.pop()
+            alpha.pop()
+        if j < q:
+            beta.append(k)
+            merge(k + 1)
+            beta.pop()
+
+    merge(1)
+    words.sort()
+    return FreeElement("wqsym", {PackedWord(w): 1 for w in words})
+
+
+def realize_json(version: str, key, size: int) -> dict:
+    """The ``realize`` payload: every term of S^key, decoded, sorted by its
+    letters."""
+    poly = family(version).realize(key, size)
+    return {
+        "version": version.upper(),
+        "N": size,
+        "terms": [{"coeff": str(c), "word": [list(letter) for letter in w]} for w, c in sorted(poly.terms.items())],
+    }

@@ -1,10 +1,12 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import oracles
 from treehopf import realization
 from treehopf.algebra import (
     ALGEBRAS,
@@ -117,6 +119,36 @@ def test_realize_json_schema(capsys):
         {"coeff": "1", "word": [["A", 1, 2]]},
         {"coeff": "1", "word": [["A", 2, 1]]},
     ]
+
+
+def test_realize_output_is_the_sorted_polynomial(capsys):
+    """The streamed JSON equals the whole polynomial decoded, sorted by its
+    letters and dumped at once, byte for byte."""
+    for version in ("v1", "v2", "func"):
+        ops = realization.family(version).ops
+        for key in (key for n in range(4) for key in ops.keys_of_degree(n)):
+            for size in (2, 3, 4):
+                code, out, _ = run(capsys, "realize", "--version", version, "--indices", str(size),
+                                   "--object", key.render())
+                payload = oracles.realize_json(version, key, size)
+                assert code == 0 and out == json.dumps(payload, separators=(",", ":")) + "\n", (version, key, size)
+
+
+def test_realize_streams_under_a_small_address_space():
+    """175,616 words print within a 100 MB address space: the output is
+    written term by term, not built as one JSON document first."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "treehopf.cli", "realize", "--version", "func", "--indices", "8",
+         "--object", "1 2 3"],
+        capture_output=True, text=True, preexec_fn=cap,
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    words = [term["word"] for term in json.loads(proc.stdout)["terms"]]
+    assert len(words) == 56**3 and words == sorted(words)
 
 
 def test_morphism_maps(capsys, tmp_path):
@@ -424,3 +456,38 @@ def test_undecodable_config_exits_2(capsys, tmp_path):
     config.write_bytes(NOT_UTF8)
     code, out, err = run(capsys, "--config", str(config), "dims", "--algebra", "ho", "--max-degree", "2")
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+DEEP = "[" * 200_000
+
+
+def test_deeply_nested_element_file_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, out, err = run(capsys, "coproduct", "--algebra", "ho", str(deep))
+    assert code == 2 and out == "" and err == "error: element JSON is nested too deeply\n"
+
+
+def test_deeply_nested_config_exits_2(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(DEEP)
+    code, out, err = run(capsys, "--config", str(config), "dims", "--algebra", "ho", "--max-degree", "2")
+    assert code == 2 and out == "" and err == "error: config JSON is nested too deeply\n"
+
+
+@pytest.mark.parametrize("raw", ["9" * 5000, '"' + "9" * 5000 + '"', '"-' + "9" * 5000 + '"'],
+                         ids=["number", "string", "negative-string"])
+def test_coefficients_past_4300_digits_are_read_exactly(capsys, tmp_path, raw):
+    path = tmp_path / "long.json"
+    path.write_text('{"algebra":"ho","basis":"S","terms":[{"coeff":%s,"key":"0 1"}]}' % raw)
+    code, out, _ = run(capsys, "morphism", "--map", "ck", str(path))
+    digits = raw.strip('"')
+    assert code == 0 and out == '{"algebra":"ck","basis":"S","terms":[{"coeff":"%s","key":"(())"}]}\n' % digits
+
+
+def test_products_past_4300_digits_are_printed_exactly(capsys, tmp_path):
+    # (10^2500 - 1)^2 = 10^5000 - 2 * 10^2500 + 1
+    x = write_element(tmp_path, "x.json", {"algebra": "ho", "basis": "S", "terms": [{"coeff": "9" * 2500, "key": "0"}]})
+    code, out, _ = run(capsys, "product", "--algebra", "ho", x, x)
+    square = "9" * 2499 + "8" + "0" * 2499 + "1"
+    assert code == 0 and out == '{"algebra":"ho","basis":"S","terms":[{"coeff":"%s","key":"0 0"}]}\n' % square

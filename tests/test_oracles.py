@@ -9,9 +9,10 @@ import pytest
 import oracles
 from treehopf import verify
 from treehopf.algebra import ALGEBRAS, FreeElement, TensorElement, get_algebra
-from treehopf.bases import forest_down_set, r_product_endo, r_product_forest
+from treehopf.bases import ck_s_in_r, forest_down_set, r_product_endo, r_product_forest
 from treehopf.cli import main
 from treehopf.endo import ideals
+from treehopf.morphisms import f_w_preimage, faa_di_bruno_z, minimal_admissible_word, z_power_component
 from treehopf.realization import (
     FAMILIES,
     NCPolynomial,
@@ -127,6 +128,42 @@ def test_wqsym_realize_matches_the_oracle():
 def test_wqsym_product_matches_the_oracle(total):
     for u, v in pairs(oracles.packed_words, total):
         assert wqsym_product(u, v) == oracles.wqsym_product(u, v), (u, v)
+
+
+def test_wqsym_product_matches_the_merge_recursion_in_order():
+    for total in range(7):
+        for u, v in pairs(enumerate_packed_words, total):
+            got, expected = wqsym_product(u, v), oracles.wqsym_quasi_shuffle(u, v)
+            assert list(got.terms.items()) == list(expected.terms.items()), (u, v)
+
+
+def test_f_w_preimage_matches_the_recursion():
+    for n in range(8):
+        for w in enumerate_packed_words(n):
+            assert f_w_preimage(w) == oracles.f_w_preimage(w), w
+
+
+def test_minimal_admissible_word_is_the_smallest_pi_word():
+    for n in range(7):
+        smallest = oracles.minimal_pi_words(n)
+        forests = enumerate_ordered_forests(n)
+        assert len(smallest) == len(forests)
+        for forest in forests:
+            assert minimal_admissible_word(forest) == smallest[forest.parent], forest
+
+
+def test_faa_di_bruno_powers_match_the_convolution():
+    for power in range(5):
+        for n in range(8):
+            assert z_power_component(power, n) == oracles.z_power_component(power, n), (power, n)
+    for n in range(8):
+        assert faa_di_bruno_z(n) == oracles.faa_di_bruno_z(n), n
+
+
+def test_ck_s_in_r_matches_the_unitriangular_unwinding():
+    for n in range(6):
+        for shape in enumerate_rooted_forests(n):
+            assert ck_s_in_r(shape) == oracles.ck_s_in_r(shape), shape
 
 
 @pytest.mark.parametrize("n", range(6))

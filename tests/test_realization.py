@@ -13,7 +13,6 @@ from treehopf.realization import (
     decode_word,
     family,
     pi_image,
-    polynomial_to_json,
     project_second_subscript,
     rank_check,
     rank_of_rows,
@@ -408,19 +407,3 @@ def test_pi_commutes_with_the_letter_projection_at_n6():
             lhs = project_second_subscript(family("v2").realize(forest, 6))
             rhs = wqsym_realize(pi_image(forest), 6)
             assert lhs == rhs, forest
-
-
-# ---------------------------------------------------------------------------
-# JSON dump
-# ---------------------------------------------------------------------------
-
-def test_polynomial_json_shape():
-    payload = polynomial_to_json(family("v2").realize(OrderedForest((0,)), 2), "v2")
-    assert payload == {
-        "version": "V2",
-        "N": 2,
-        "terms": [
-            {"coeff": "1", "word": [["A", 1, 1]]},
-            {"coeff": "1", "word": [["A", 2, 2]]},
-        ],
-    }

@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import ancestors, restrict_forest
+from oracles import ancestors, relabel_forest, restrict_forest
 from treehopf import structures
 from treehopf.algebra import FreeElement, get_algebra
 from treehopf.endo import std_restrict
@@ -30,7 +30,6 @@ from treehopf.structures import (
     ordered_to_plane,
     pack,
     plane_to_ordered,
-    relabel_forest,
 )
 
 # ---------------------------------------------------------------------------
