@@ -14,7 +14,8 @@ exactly when every coefficient of the difference is zero.  The antipode
 recursion S(x) = -x - sum S(x') x'' makes S * id = unit.counit hold by
 construction, so the antipode check tests id * S = unit.counit, the sum of
 a S(b) over Delta(x) = sum a (x) b.  Keys carry their own degree ``.n``,
-``parse``, ``render()`` and ``sort_key()``; the unit key is ``parse("")``.
+``parse``, ``render()`` and ``sort_key()``; the unit key is the empty key,
+``parse("")``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from .structures import Table, cut_terms
@@ -56,7 +58,7 @@ class _Combination:
         self.algebra = algebra
         clean = {}
         for key, coeff in (terms or {}).items():
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:  # no float, and no bool, which would render as "True"
                 raise TypeError(f"non-integer coefficient {coeff!r}")
             if coeff:
                 clean[key] = coeff
@@ -78,7 +80,7 @@ class _Combination:
         return self + (-1) * other
 
     def __rmul__(self, scalar: int):
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:
             raise TypeError(f"scalars must be integers, got {scalar!r}")
         return type(self)(self.algebra, {k: scalar * c for k, c in self.terms.items()})
 
@@ -141,7 +143,7 @@ class AlgebraOps:
     default_basis: str = "S"
 
     parse_key = property(lambda self: self.key_type.parse)
-    unit_key = property(lambda self: self.key_type.parse(""))
+    unit_key = property(lambda self: self.key_type._of(()))
 
 
 ALGEBRAS: dict[str, AlgebraOps] = {}
@@ -357,10 +359,7 @@ def antipode_key(tag: str, key) -> FreeElement:
 
 
 def antipode(x: FreeElement) -> FreeElement:
-    out: dict = {}
-    for key, coeff in x.terms.items():
-        accumulate(out, antipode_key(x.algebra, key).terms, coeff)
-    return FreeElement(x.algebra, out)
+    return x.map_keys(partial(antipode_key, x.algebra))
 
 
 def check_antipode(tag: str, max_degree: int) -> CheckReport:

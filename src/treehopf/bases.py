@@ -67,18 +67,23 @@ def forest_down_set(forest: OrderedForest) -> list[OrderedForest]:
     return acyclic_parent_vectors([(p,) if p else range(forest.n + 1) for p in forest.parent])
 
 
-def r_from_s_forest(forest: OrderedForest) -> FreeElement:
-    """R_F expanded in the S basis (signed sum over the down-set)."""
-    base = len(forest.edges())
-    terms = {}
-    for g in forest_down_set(forest):
-        terms[g] = (-1) ** (len(g.edges()) - base)
-    return FreeElement("ho", terms)
+def _expansions(tag: str, interval: Callable, rank: Callable) -> tuple[Callable, Callable]:
+    """The Mobius pair of one order, where ``interval(x)`` lists the keys g
+    on the side of x that R_x sums over and ``rank`` moves by one along each
+    cover: R_x = sum over g of (-1)^(rank g - rank x) S^g, and S^x = sum over
+    g of R_g."""
+
+    def r_from_s(x) -> FreeElement:
+        base = rank(x)
+        return FreeElement(tag, {g: (-1) ** (rank(g) - base) for g in interval(x)})
+
+    def s_in_r(x) -> FreeElement:
+        return FreeElement(tag, dict.fromkeys(interval(x), 1))
+
+    return r_from_s, s_in_r
 
 
-def s_in_r_forest(forest: OrderedForest) -> FreeElement:
-    """S^F written in the R basis: coefficient one on the whole down-set."""
-    return FreeElement("ho", {g: 1 for g in forest_down_set(forest)})
+r_from_s_forest, s_in_r_forest = _expansions("ho", forest_down_set, lambda f: len(f) - f.count(0))
 
 
 def r_product_forest(left: OrderedForest, right: OrderedForest) -> FreeElement:
@@ -105,7 +110,7 @@ def r_product_forest(left: OrderedForest, right: OrderedForest) -> FreeElement:
 
 def r_commutative(forest: RootedForest) -> FreeElement:
     """Image of R_F in the commutative algebra, independent of the labelling."""
-    return r_from_s_forest(OrderedForest(forest.parent)).map_keys(canonicalize, algebra="ck")
+    return r_from_s_forest(OrderedForest._of(forest.parent)).map_keys(canonicalize, algebra="ck")
 
 
 def ck_s_in_r(forest: RootedForest) -> FreeElement:
@@ -113,7 +118,7 @@ def ck_s_in_r(forest: RootedForest) -> FreeElement:
     the down-set of a labelling of F, so R^G counts the forests of shape G
     in that down-set."""
     _check_r_bound(forest.n, "commutative R basis")
-    return s_in_r_forest(OrderedForest(forest.parent)).map_keys(canonicalize, algebra="ck")
+    return s_in_r_forest(OrderedForest._of(forest.parent)).map_keys(canonicalize, algebra="ck")
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +135,10 @@ def endo_leq(f: Endofunction, g: Endofunction) -> bool:
 def endo_up_set(f: Endofunction) -> list[Endofunction]:
     """All g >= f, lexicographic: each moved point keeps its image or is fixed."""
     choices = [tuple(sorted({fv, v})) for v, fv in enumerate(f.image, start=1)]
-    return [Endofunction(img) for img in itertools.product(*choices)]
+    return list(map(Endofunction._of, itertools.product(*choices)))
 
 
-def r_from_s_endo(f: Endofunction) -> FreeElement:
-    """R_f in the S basis: inclusion-exclusion over fixing moved points."""
-    base = f.num_fixed()
-    return FreeElement("efsym", {g: (-1) ** (g.num_fixed() - base) for g in endo_up_set(f)})
-
-
-def s_in_r_endo(f: Endofunction) -> FreeElement:
-    return FreeElement("efsym", {g: 1 for g in endo_up_set(f)})
+r_from_s_endo, s_in_r_endo = _expansions("efsym", endo_up_set, Endofunction.num_fixed)
 
 
 def r_product_endo(left: Endofunction, right: Endofunction) -> FreeElement:
@@ -157,7 +155,7 @@ def r_product_endo(left: Endofunction, right: Endofunction) -> FreeElement:
     block2 = tuple(range(k1 + 1, k1 + k2 + 1))
     choices = [(v,) + block2 if fv == v else (fv,) for v, fv in enumerate(left.image, start=1)]
     choices += [block1 + (v + k1,) if fv == v else (fv + k1,) for v, fv in enumerate(right.image, start=1)]
-    return FreeElement("efsym", {Endofunction(img): 1 for img in itertools.product(*choices)})
+    return FreeElement("efsym", dict.fromkeys(map(Endofunction._of, itertools.product(*choices)), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from .structures import (
     Endofunction,
     Permutation,
     StructureError,
+    _check_bound,
     closed_subsets,
-    cycle_vertices,
-    distance_to_cycle,
     enumerate_endofunctions,
     enumerate_permutations,
+    functional_graph,
     mask_vertices,
     restrict_image,
 )
@@ -31,10 +31,11 @@ from .structures import (
 IDEALS = "ideal enumeration"
 
 
-def ideals(f: Endofunction, bound: int | None = None) -> list[frozenset[int]]:
+def ideals(f: Endofunction) -> list[frozenset[int]]:
     """All ideals of f (subsets I with f^{-1}(I) inside I), in increasing
     bitmask order."""
-    return [frozenset(mask_vertices(m)) for m in closed_subsets(f.image, bound, IDEALS)]
+    _check_bound(f.n, None, IDEALS)
+    return [frozenset(mask_vertices(m)) for m in closed_subsets(f.image)]
 
 
 def std_restrict(f: Endofunction, subset) -> Endofunction:
@@ -43,7 +44,7 @@ def std_restrict(f: Endofunction, subset) -> Endofunction:
     keep = sorted(set(subset))
     if any(v < 1 or v > f.n for v in keep):
         raise StructureError(f"{keep} is not a subset of the domain of {f.render()}")
-    return Endofunction(restrict_image(f.image, sum(1 << (v - 1) for v in keep)))
+    return Endofunction._of(restrict_image(f.image, sum(1 << (v - 1) for v in keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def is_permutation(f: Endofunction) -> bool:
 
 def is_acyclic(f: Endofunction) -> bool:
     """No cycle of length >= 2; fixed points are the allowed cycles."""
-    return all(f(v) == v for v in cycle_vertices(f))
+    return all(len(c) == 1 for c in f.cycles())
 
 
 def is_nondecreasing(f: Endofunction) -> bool:
@@ -83,11 +84,8 @@ def burnside_graphical(f: Endofunction, p: int, q: int) -> bool:
     divides |p - q| and every vertex reaches its cycle within min(p, q) steps."""
     if p == q:
         return True
-    diff = abs(p - q)
-    lengths = {len(c) for c in f.cycles()}
-    if any(diff % ell for ell in lengths):
-        return False
-    return max(distance_to_cycle(f).values(), default=0) <= min(p, q)
+    depth, cycles = functional_graph(f.image)
+    return not any(abs(p - q) % len(c) for c in cycles) and max(depth, default=0) <= min(p, q)
 
 
 register_map_algebra("efsym", Endofunction, enumerate_endofunctions, tuple, Endofunction._of, IDEALS)

@@ -41,7 +41,7 @@ def nwarrow(left: OrderedForest, right: OrderedForest) -> OrderedForest:
     """Graft ``right`` (shifted by |left|) onto the greatest vertex of ``left``."""
     if left.n == 0:
         raise StructureError("nwarrow needs a nonempty left factor")
-    return OrderedForest(left.parent + shifted_parents(right.parent, left.n, left.n))
+    return OrderedForest._of(left.parent + shifted_parents(right.parent, left.n, left.n))
 
 
 register_map_algebra("ho", OrderedForest, enumerate_ordered_forests, forest_image,

@@ -20,7 +20,6 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .algebra import FreeElement, TensorElement, coproduct_element, unit_element
-from .endo import is_acyclic
 from .realization import pi_image, rank_of_rows
 from .structures import (
     Endofunction,
@@ -32,6 +31,7 @@ from .structures import (
     enumerate_plane_forests,
     forest_from_image,
     forest_image,
+    functional_graph,
     ordered_to_plane,
     plane_to_ordered,
     shifted_parents,
@@ -66,7 +66,7 @@ def b_plus(x):
     """
     if not isinstance(x, (OrderedForest, PlaneForest)):
         raise StructureError(f"b_plus applies to forests, not {type(x).__name__}")
-    return type(x)((0,) + shifted_parents(x.parent, 1, 1))
+    return type(x)._of((0,) + shifted_parents(x.parent, 1, 1))
 
 
 def minimal_admissible_word(forest: OrderedForest) -> PackedWord:
@@ -76,16 +76,7 @@ def minimal_admissible_word(forest: OrderedForest) -> PackedWord:
     at every vertex; the word of depths + 1 is packed and rises along each
     edge, so it is the smallest.
     """
-    parent = forest.parent
-    level = [0] + [None] * forest.n  # depth + 1 of each vertex, once known
-    for v in range(1, forest.n + 1):
-        path = []
-        while level[v] is None:
-            path.append(v)
-            v = parent[v - 1]
-        for k, u in enumerate(reversed(path), start=level[v] + 1):
-            level[u] = k
-    return PackedWord._of(level[1:])
+    return PackedWord._of([d + 1 for d in functional_graph(forest_image(forest))[0]])
 
 
 def f_w_preimage(w: PackedWord) -> OrderedForest:
@@ -105,13 +96,11 @@ def f_w_preimage(w: PackedWord) -> OrderedForest:
 
 def forest_to_endo(forest: OrderedForest) -> Endofunction:
     """f_F: each vertex maps to its parent, roots to themselves."""
-    return Endofunction(forest_image(forest))
+    return Endofunction._of(forest_image(forest))
 
 
 def endo_to_forest(f: Endofunction) -> OrderedForest:
-    """Inverse of forest_to_endo on acyclic endofunctions."""
-    if not is_acyclic(f):
-        raise StructureError(f"{f.render()} has a cycle of length >= 2")
+    """Inverse of forest_to_endo; a cycle of length >= 2 raises ``StructureError``."""
     return forest_from_image(f.image)
 
 
@@ -136,7 +125,7 @@ def plane_to_parking(plane: PlaneForest) -> Endofunction:
                 label[v] = len(image) + 1
                 image.append(label[plane.parent[v - 1]] or label[v])
             level = [c for v in level for c in kids[v]]
-    return Endofunction(tuple(image))
+    return Endofunction._of(image)
 
 
 # ---------------------------------------------------------------------------

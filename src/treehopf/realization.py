@@ -53,7 +53,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import AlgebraOps, AlgebraTagError, FreeElement, accumulate, get_algebra
+from .algebra import AlgebraOps, AlgebraTagError, FreeElement, get_algebra
 from .structures import (
     Endofunction,
     EnumerationBoundError,
@@ -63,6 +63,7 @@ from .structures import (
     StructureError,
     _check_bound,
     closed_subsets,
+    forest_from_image,
 )
 
 Letter = tuple[str, int, int]
@@ -339,7 +340,7 @@ def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, roo
         # size, bounds them.
         positions = range(1, len(parent) + 1)
         image = [p or v for v, p in enumerate(parent, start=1)]
-        for mask in closed_subsets(image, bound=len(image)):
+        for mask in closed_subsets(image):
             yield (
                 mask,
                 side_words(parent, [v for v in positions if not mask >> (v - 1) & 1], size),
@@ -485,22 +486,12 @@ class RealizationFamily(NamedTuple):
             found = self.words(key, size, doubled)
             return _interleave(found, key.n, size) if doubled else found
 
-        # One key's words are distinct, so dict.fromkeys builds its S^x; the
-        # first key's dict then accumulates the others.
-        parts = (dict.fromkeys(codes(key), c) for key, c in x.terms.items())
-        terms = next(parts, {})
-        if len(x.terms) > 1:
-            for part in parts:
-                accumulate(terms, part)
-            terms = {w: c for w, c in terms.items() if c}
-        return NCPolynomial(terms, size)
+        if len(x.terms) == 1:  # one key's words are distinct, so dict.fromkeys builds its S^x
+            ((key, c),) = x.terms.items()
+            return NCPolynomial(dict.fromkeys(codes(key), c), size)
+        return NCPolynomial(_collected((w, c) for key, c in x.terms.items() for w in codes(key)), size)
 
     __call__ = realize
-
-
-def _parent_vector(image: Sequence[int]) -> list[int]:
-    """The parent vector of a map: its image, with 0 at the fixed points."""
-    return [0 if w == v else w for v, w in enumerate(image, start=1)]
 
 
 FAMILIES: dict[str, RealizationFamily] = {
@@ -508,9 +499,9 @@ FAMILIES: dict[str, RealizationFamily] = {
     for fam in (
         RealizationFamily("v1", "ho", *_regime(lambda f: f.parent, ">", "below")),
         RealizationFamily("v2", "ho", *_regime(lambda f: f.parent, ">", "loop")),
-        RealizationFamily("func", "efsym", *_regime(lambda f: _parent_vector(f.image), "!=", "different")),
+        RealizationFamily("func", "efsym", *_regime(lambda f: forest_from_image(f.image, list), "!=", "different")),
         RealizationFamily(
-            "perm", "sgsym", *_regime(lambda s: _parent_vector(s.inverse().image), None, "loop"), internal=True
+            "perm", "sgsym", *_regime(lambda s: forest_from_image(s.inverse().image, list), None, "loop"), internal=True
         ),
     )
 }
@@ -560,13 +551,17 @@ def group_doubled(poly: NCPolynomial) -> dict[tuple[Word, Word], int]:
 # Commutative image
 # ---------------------------------------------------------------------------
 
-def commutative_image(poly: NCPolynomial) -> dict[tuple[Letter, ...], int]:
-    """Let the letters commute: words collapse to sorted letter multisets."""
-    out: dict[tuple[Letter, ...], int] = {}
-    for word, coeff in poly.terms.items():
-        key = tuple(sorted(word))
+def _collected(terms: Iterable[tuple[Any, int]]) -> dict:
+    """The (key, coefficient) pairs summed by key, zeros dropped."""
+    out: dict = {}
+    for key, coeff in terms:
         out[key] = out.get(key, 0) + coeff
     return {k: c for k, c in out.items() if c}
+
+
+def commutative_image(poly: NCPolynomial) -> dict[tuple[Letter, ...], int]:
+    """Let the letters commute: words collapse to sorted letter multisets."""
+    return _collected((tuple(sorted(word)), c) for word, c in poly.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +596,12 @@ def pi_image(forest: OrderedForest) -> FreeElement:
 
     assign(1, list(forest.roots()), n)
     words.sort()
-    return FreeElement("wqsym", {PackedWord(w): 1 for w in words})
+    return FreeElement("wqsym", dict.fromkeys(map(PackedWord._of, words), 1))
 
 
 def project_second_subscript(poly: NCPolynomial) -> dict[tuple[int, ...], int]:
     """The letter map a_ij -> a_j applied to a realized polynomial."""
-    out: dict[tuple[int, ...], int] = {}
-    for word, coeff in poly.terms.items():
-        image = tuple(j for (_, _, j) in word)
-        out[image] = out.get(image, 0) + coeff
-    return {w: c for w, c in out.items() if c}
+    return _collected((tuple(j for (_, _, j) in word), c) for word, c in poly.terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ Every key is a tuple of its vector, readable also as ``parent``, ``image`` or
 different types with equal vectors therefore compare equal (a ``ck`` key, an
 ``nck`` key and an ordered forest of one vector among them), and each equals
 the plain tuple; no dict of the library holds keys of two types.
-``cls(vector)`` and ``cls.parse`` check their input; keys the library builds
-valid by construction (enumerations, products, cut parts) come from the
-unchecked ``cls._of(vector)``.  Keys of one degree sort by ``sort_key()``:
-by the vector, and plane and unlabelled forests by the negated vector,
-which is the order of their text.
+``cls(vector)`` and ``cls.parse`` check their input, entries included (ints
+only); every key the library builds valid by construction (enumerations,
+kernels, maps, R-basis terms) comes from the unchecked ``cls._of(vector)``.
+Keys of one degree sort by ``sort_key()``: by the vector, and plane and
+unlabelled forests by the negated vector, which is the order of their text.
 
 Every forest key is a parent vector ``parent``: an ordered forest is its
 vector, a plane forest the vector of its depth-first labelling, and an
@@ -37,6 +37,7 @@ unlabelled forest the depth-first labelling of its canonical form
 Every key is read as a map on {1..n}: an endofunction is its image vector,
 a forest its f_F (each vertex to its parent, each root to itself,
 :func:`forest_image`).
+A map's depths and cycles come from one walk (:func:`functional_graph`).
 The five cut coproducts split a key along the preimage-closed vertex sets of
 its map (:func:`cut_terms`, which reads the vertices and ranks of each part
 from one table per size and vertex set), and the realization regimes link
@@ -117,6 +118,8 @@ class _VectorKey(tuple):
 
     def __new__(cls, vector):
         key = tuple.__new__(cls, vector)
+        if any(type(x) is not int for x in key):  # a float or bool renders as text parse rejects
+            raise StructureError(f"{cls.__name__} entries must be integers, got {tuple(key)!r}")
         key._check()
         return key
 
@@ -263,20 +266,20 @@ def forest_image(forest: OrderedForest | PlaneForest | RootedForest) -> tuple[in
 
 
 def forest_from_image(image: Sequence[int], make: Callable = OrderedForest):
-    """The forest built by ``make`` (an ordered or plane forest constructor,
-    the latter for a depth-first labelling) whose parent vector has f_F =
-    ``image``: its fixed points are the roots."""
+    """``make`` of the parent vector of the map ``image``: the image with 0
+    at the fixed points, the roots.  For an ordered or plane forest
+    constructor (the latter for a depth-first labelling) it is the forest
+    with f_F = ``image``."""
     return make([0 if w == v else w for v, w in enumerate(image, start=1)])
 
 
-def closed_subsets(image: Sequence[int], bound: int | None = None, what: str = "closed sets") -> list[int]:
+def closed_subsets(image: Sequence[int]) -> list[int]:
     """Bitmasks of the vertex sets I with f^{-1}(I) inside I, ascending.
 
     Vertices are decided from n down to 1.  Taking v takes every vertex whose
     iterates reach v; v is skipped when one of those was left out.  Every
-    branch ends in a closed set, so no 2^n filter runs."""
+    branch ends in a closed set, so no 2^n filter runs; callers bound n."""
     n = len(image)
-    _check_bound(n, bound, what)
     reach = [1 << v for v in range(n)]  # reach[v]: vertices whose iterates reach v
     for u in range(n):
         seen, w = 0, u
@@ -339,16 +342,17 @@ def restrict_image(image: Sequence[int], part: int) -> tuple[int, ...]:
 def cut_terms(image: Sequence[int], make, what: str) -> dict:
     """The cut coproduct: make(Roo) (x) make(Lea) summed over the closed sets
     Lea, where Roo is the complement and each part a standardized restriction."""
+    _check_bound(len(image), None, what)
     full = (1 << len(image)) - 1
     part = Table(make)  # parts repeat across the cuts of one key
     terms: dict = {}
-    for lea in closed_subsets(image, None, what):
+    for lea in closed_subsets(image):
         pair = (part[restrict_image(image, full ^ lea)], part[restrict_image(image, lea)])
         terms[pair] = terms.get(pair, 0) + 1
     return terms
 
 
-def enumerate_admissible_cuts(forest, bound: int | None = None) -> list[frozenset[int]]:
+def enumerate_admissible_cuts(forest) -> list[frozenset[int]]:
     """All admissible cuts of an ordered, plane or unlabelled forest, in
     increasing bitmask order.
 
@@ -356,9 +360,10 @@ def enumerate_admissible_cuts(forest, bound: int | None = None) -> list[frozense
     (see :func:`forest_image` for the labelling of unlabelled forests).
     """
     image = forest_image(forest)
+    _check_bound(len(image), None, "admissible cut enumeration")
     cuts = [
         sum(1 << (v - 1) for v in mask_vertices(lea) if image[v - 1] == v or not lea >> (image[v - 1] - 1) & 1)
-        for lea in closed_subsets(image, bound, "admissible cut enumeration")
+        for lea in closed_subsets(image)
     ]
     return [frozenset(mask_vertices(cut)) for cut in sorted(cuts)]
 
@@ -454,7 +459,7 @@ def _plane_vectors(n: int) -> tuple[tuple[int, ...], ...]:
 
 def plane_to_ordered(plane: PlaneForest) -> OrderedForest:
     """The canonical "up-left" labelling, which is the stored parent vector."""
-    return OrderedForest(plane.parent)
+    return OrderedForest._of(plane.parent)
 
 
 def ordered_to_plane(forest: OrderedForest) -> PlaneForest:
@@ -564,31 +569,19 @@ class Endofunction(_VectorKey):
         """self after other."""
         if self.n != other.n:
             raise StructureError("composition needs equal domains")
-        return Endofunction(tuple(self.image[other.image[v - 1] - 1] for v in range(1, self.n + 1)))
+        return Endofunction._of([self.image[w - 1] for w in other.image])
 
     def power(self, k: int) -> "Endofunction":
         if k < 0:
             raise StructureError("negative iteration")
-        result = Endofunction(tuple(range(1, self.n + 1)))
+        result = Endofunction._of(range(1, self.n + 1))
         for _ in range(k):
             result = self.compose(result)
         return result
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """The cycles of the functional graph, each starting at its least element."""
-        on_cycle = cycle_vertices(self)
-        seen: set[int] = set()
-        out = []
-        for v in range(1, self.n + 1):
-            if v in on_cycle and v not in seen:
-                cyc = [v]
-                w = self.image[v - 1]
-                while w != v:
-                    cyc.append(w)
-                    w = self.image[w - 1]
-                seen.update(cyc)
-                out.append(tuple(cyc))
-        return out
+        """The cycles of the functional graph, as :func:`functional_graph` lists them."""
+        return functional_graph(self)[1]
 
 
 class Permutation(Endofunction):
@@ -606,29 +599,41 @@ class Permutation(Endofunction):
         inv = [0] * self.n
         for v, fv in enumerate(self.image, start=1):
             inv[fv - 1] = v
-        return Permutation(tuple(inv))
+        return Permutation._of(inv)
+
+
+def functional_graph(image: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The depths and cycles of the map ``image`` on {1..n}, in one walk:
+    ``depth[v-1]`` is the least k with f^k(v) on a cycle (0 on fixed points,
+    and on f_F the distance to the root), and each cycle starts at its least
+    vertex, the cycles in the order of their least vertices.  A walk stops
+    at the first vertex seen before, closing a cycle if it is on its path."""
+    depth: list = [None] * len(image)  # -1 while on the current path
+    cycles = []
+    for start in range(len(image)):
+        path, w = [], start
+        while depth[w] is None:
+            depth[w] = -1
+            path.append(w)
+            w = image[w] - 1
+        if depth[w] < 0:  # the walk closed a cycle at w
+            cycle = path[path.index(w):]
+            del path[-len(cycle):]
+            for u in cycle:
+                depth[u] = 0
+            least = cycle.index(min(cycle))
+            cycles.append(tuple([u + 1 for u in cycle[least:] + cycle[:least]]))
+        d = depth[w]
+        for u in reversed(path):
+            d += 1
+            depth[u] = d
+    cycles.sort()
+    return depth, cycles
 
 
 def cycle_vertices(f: Endofunction) -> set[int]:
-    """Vertices lying on a cycle of the functional graph (fixed points
-    included): the image of f^n, since n steps from any vertex end on a
-    cycle and f permutes the cycle vertices."""
-    out = set(range(1, f.n + 1))
-    for _ in range(f.n):
-        out = {f.image[v - 1] for v in out}
-    return out
-
-
-def distance_to_cycle(f: Endofunction) -> dict[int, int]:
-    on_cycle = cycle_vertices(f)
-    dist = {}
-    for v in range(1, f.n + 1):
-        d, w = 0, v
-        while w not in on_cycle:
-            d += 1
-            w = f(w)
-        dist[v] = d
-    return dist
+    """Vertices on a cycle of the functional graph, fixed points included."""
+    return {v for v, d in enumerate(functional_graph(f.image)[0], start=1) if not d}
 
 
 def enumerate_endofunctions(n: int, bound: int | None = None) -> list[Endofunction]:

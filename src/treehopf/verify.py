@@ -186,7 +186,7 @@ def suite_realization(max_degree: int = 3) -> list[Outcome]:
     for version, fam in FAMILIES.items():
         if fam.internal:
             continue
-        for d in range(1, min(max_degree, 3) + 1):
+        for d in range(1, max_degree + 1):
             rep = rank_check(fam.ops.keys_of_degree(d), fam, 2 * d + 2, label=f"{version} deg {d}")
             out.append(
                 (f"realize-rank[{version}] deg {d} N={2 * d + 2}", rep.full, rep.summary())
@@ -241,10 +241,6 @@ def _quoted(expected, got) -> str:
     return f"expected {expected!r}, got {got!r}"
 
 
-def _plain(expected, got) -> str:
-    return f"expected {expected}, got {got}"
-
-
 def _transport(expected, got) -> str:
     return "doubling matches coproduct" if got else "doubling DIFFERS from coproduct"
 
@@ -259,7 +255,7 @@ _REPLAY: dict[str, tuple[Callable[[dict], object], Callable[[object, object], st
     "plane_to_ordered": (lambda c: plane_to_ordered(PlaneForest.parse(c["key"])).render(), _quoted),
     "pi": (lambda c: element_to_json(pi_image(OrderedForest.parse(c["key"])))["terms"], _diff_terms),
     "forest_to_endo": (lambda c: morphisms.forest_to_endo(OrderedForest.parse(c["key"])).render(), _quoted),
-    "ideals": (lambda c: [sorted(i) for i in ideals(Endofunction.parse(c["key"]))], _plain),
+    "ideals": (lambda c: [sorted(i) for i in ideals(Endofunction.parse(c["key"]))], _quoted),
     "r_from_s": (_r_from_s_terms, _diff_terms),
     "r_product": (_r_product_terms, _diff_terms),
     "r_commutative": (_r_commutative_terms, _diff_terms),

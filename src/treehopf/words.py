@@ -55,7 +55,7 @@ def wqsym_coproduct(u: PackedWord) -> TensorElement:
 
 def b_word(u: PackedWord) -> PackedWord:
     """1 . u[1]: shift the letters of u by one, then prepend a 1."""
-    return PackedWord((1,) + tuple(a + 1 for a in u.letters))
+    return PackedWord._of((1,) + tuple(a + 1 for a in u.letters))
 
 
 def b_endomorphism(x: FreeElement) -> FreeElement:

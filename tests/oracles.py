@@ -90,6 +90,27 @@ def cycle_vertices(f: Endofunction) -> set[int]:
     return on_cycle
 
 
+def functional_graph(f: Endofunction) -> tuple[list[int], list[tuple[int, ...]]]:
+    """depth: the least k with f^k(v) on a cycle, per vertex; cycles: the
+    orbits of the cycle vertices, each rotated to its least vertex, in the
+    order of their least vertices."""
+    on_cycle = cycle_vertices(f)
+    depth = []
+    for v in range(1, f.n + 1):
+        k, w = 0, v
+        while w not in on_cycle:
+            k, w = k + 1, f(w)
+        depth.append(k)
+    orbits = set()
+    for v in on_cycle:
+        orbit = [v]
+        while f(orbit[-1]) != v:
+            orbit.append(f(orbit[-1]))
+        least = orbit.index(min(orbit))
+        orbits.add(tuple(orbit[least:] + orbit[:least]))
+    return depth, sorted(orbits, key=min)
+
+
 def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
     """M_u M_v: packed w whose length-|u| prefix packs to u and whose suffix
     packs to v."""

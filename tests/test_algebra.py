@@ -63,6 +63,16 @@ def test_non_integer_coefficients_are_rejected():
         0.5 * elt([(KEYS[0], 1)])
 
 
+def test_bool_coefficients_are_rejected():
+    # True would be written as "coeff": "True", which the JSON decoder refuses.
+    with pytest.raises(TypeError):
+        FreeElement("ho", {KEYS[0]: True})
+    with pytest.raises(TypeError):
+        TensorElement("ho", {(KEYS[0], KEYS[1]): False})
+    with pytest.raises(TypeError):
+        True * elt([(KEYS[0], 1)])
+
+
 small_elements = st.builds(
     lambda pairs: elt(pairs),
     st.lists(st.tuples(st.sampled_from(KEYS), st.integers(-4, 4)), max_size=4),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from treehopf import realization
+from treehopf import realization, verify
 from treehopf.algebra import (
     ALGEBRAS,
     FreeElement,
@@ -423,6 +423,26 @@ def test_verify_all_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "3")
     assert code == 0 and "FAIL" not in out
     assert out.encode() == expected
+
+
+def test_verify_realization_ranks_every_degree(capsys, monkeypatch):
+    # The product and doubling checks are stubbed out: at degree 4 they take
+    # most of a minute, while each rank row takes well under a second.
+    monkeypatch.setattr(verify, "multiplicativity_ok", lambda *args: True)
+    monkeypatch.setattr(verify, "doubling_transport_ok", lambda *args: True)
+    code, out, _ = run(capsys, "verify", "--suite", "realization", "--max-degree", "4")
+    # Degrees 1-3 keep the rows of ``verify --suite all --max-degree 3``.
+    pinned = (Path(__file__).parent / "data" / "verify_all.txt").read_text().splitlines()
+    degree_4 = {
+        "v1": "PASS realize-rank[v1] deg 4 N=10: v1 deg 4: rank 125 of 125 (independent)",
+        "v2": "PASS realize-rank[v2] deg 4 N=10: v2 deg 4: rank 125 of 125 (independent)",
+        "func": "PASS realize-rank[func] deg 4 N=10: func deg 4: rank 256 of 256 (independent)",
+    }
+    expected = [
+        line for version, row in degree_4.items() for line in pinned + [row] if f"realize-rank[{version}]" in line
+    ]
+    assert code == 0 and out.endswith("20/20 checks passed\n")
+    assert [line for line in out.splitlines() if "realize-rank" in line] == expected
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -43,6 +43,7 @@ from treehopf.structures import (
     enumerate_plane_forests,
     enumerate_rooted_forests,
     forest_image,
+    functional_graph,
     ordered_to_plane,
     plane_to_ordered,
 )
@@ -487,3 +488,9 @@ def test_cycle_vertices_match_the_oracle():
     for n in range(7):
         for f in oracles.endofunctions(n):
             assert cycle_vertices(f) == oracles.cycle_vertices(f), f
+
+
+def test_functional_graph_matches_the_oracle():
+    for n in range(7):
+        for f in oracles.endofunctions(n):
+            assert functional_graph(f.image) == oracles.functional_graph(f), f

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import ancestors, relabel_forest, restrict_forest
-from treehopf import structures
-from treehopf.algebra import FreeElement, get_algebra
+from treehopf import bases, morphisms, structures
+from treehopf.algebra import ALGEBRAS, FreeElement, antipode_key, get_algebra
 from treehopf.endo import std_restrict
+from treehopf.forests import nwarrow
+from treehopf.realization import FAMILIES, pi_image
 from treehopf.structures import (
     DEFAULT_ENUMERATION_BOUND,
     Endofunction,
@@ -31,6 +33,7 @@ from treehopf.structures import (
     pack,
     plane_to_ordered,
 )
+from treehopf.words import b_word
 
 # ---------------------------------------------------------------------------
 # Counting oracles
@@ -162,6 +165,24 @@ def test_ordered_forest_rejects_self_parent_and_cycles():
         OrderedForest((3, 0, 4, 3))
     with pytest.raises(StructureError, match="^parent vector contains a cycle through 2$"):
         OrderedForest((0, 3, 4, 2))
+
+
+@pytest.mark.parametrize(
+    "key_type, vector",
+    [
+        (OrderedForest, (False, 1)),
+        (PlaneForest, (0, True)),
+        (RootedForest, (False,)),
+        (Endofunction, (1.0,)),
+        (Permutation, (True,)),
+        (PackedWord, (True,)),
+    ],
+)
+def test_checked_constructors_take_only_ints(key_type, vector):
+    # Each vector passes the type's own check, but would render as text
+    # ("False 1", "1.0") that parse rejects.
+    with pytest.raises(StructureError, match="entries must be integers"):
+        key_type(vector)
 
 
 def test_packed_word_rejects_gaps():
@@ -388,6 +409,70 @@ def test_library_built_keys_pass_the_checking_constructor():
                 for pair in ops.coproduct(x).terms:
                     for part in pair:
                         assert_valid(part, ops.key_type)
+
+
+def test_library_builds_no_key_through_the_checking_constructor(monkeypatch):
+    # ``cls(vector)`` validates input at the boundary; every key the library
+    # builds valid by construction comes from the unchecked ``cls._of``.
+    checked = []
+    check = structures._VectorKey.__new__
+
+    def counted(cls, vector):
+        vector = tuple(vector)
+        checked.append((cls.__name__, vector))
+        return check(cls, vector)
+
+    monkeypatch.setattr(structures._VectorKey, "__new__", counted)
+    degrees = range(4)
+    for tag, ops in ALGEBRAS.items():
+        keys = [key for n in degrees for key in ops.keys_of_degree(n)]
+        for a in keys:
+            ops.coproduct(a)
+            antipode_key(tag, a)
+            for b in keys:
+                if a.n + b.n <= 3:
+                    ops.product(a, b)
+    for m in morphisms.MAPS.values():
+        for n in degrees:
+            for key in get_algebra(m.source).keys_of_degree(n):
+                m.apply(FreeElement.from_key(m.source, key))
+    for tag, basis in bases.R_BASES.items():
+        keys = [key for n in degrees for key in get_algebra(tag).keys_of_degree(n)]
+        for a in keys:
+            basis.r_from_s(a)
+            basis.s_in_r(a)
+            for b in keys:
+                if basis.r_product and a.n + b.n <= 3:
+                    basis.r_product(a, b)
+    for n in degrees:
+        for forest in enumerate_ordered_forests(n):
+            pi_image(forest)
+            morphisms.b_plus(forest)
+            morphisms.minimal_admissible_word(forest)
+            for right in enumerate_ordered_forests(3 - n) if n else ():
+                nwarrow(forest, right)
+        for plane in enumerate_plane_forests(n):
+            morphisms.b_plus(plane)
+            morphisms.plane_to_parking(plane)
+        for word in enumerate_packed_words(n):
+            b_word(word)
+            morphisms.f_w_preimage(word)
+        for sigma in enumerate_permutations(n):
+            sigma.inverse()
+        for f in enumerate_endofunctions(n):
+            f.compose(f)
+            f.power(3)
+            std_restrict(f, range(1, n, 2))
+    size = 4
+    for fam in FAMILIES.values():
+        for n in degrees:
+            for key in fam.ops.keys_of_degree(n):
+                codes = fam.words(key, size)
+                list(fam.words(key, size, True))
+                fam.witness(key, size)
+                for code in codes[:3]:
+                    assert fam.contains(key, code, size)
+    assert checked == []
 
 
 def test_key_repr_keeps_the_field_form():
