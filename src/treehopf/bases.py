@@ -134,6 +134,7 @@ def endo_leq(f: Endofunction, g: Endofunction) -> bool:
 
 def endo_up_set(f: Endofunction) -> list[Endofunction]:
     """All g >= f, lexicographic: each moved point keeps its image or is fixed."""
+    _check_r_bound(f.n, "endofunction R basis")
     choices = [tuple(sorted({fv, v})) for v, fv in enumerate(f.image, start=1)]
     return list(map(Endofunction._of, itertools.product(*choices)))
 
@@ -166,16 +167,6 @@ def quotient_r(x: FreeElement) -> FreeElement:
     """Class of an R-basis element modulo the cyclic R ideal: kill the
     non-acyclic keys."""
     return FreeElement("efsym", {f: c for f, c in x.terms.items() if is_acyclic(f)})
-
-
-def in_cyclic_r_ideal(x: FreeElement) -> bool:
-    """Membership in the ideal spanned by R elements of non-acyclic keys."""
-    return quotient_r(x).is_zero()
-
-
-def quotient_r_product(left: Endofunction, right: Endofunction) -> FreeElement:
-    """Product of classes: the combinatorial R product with non-acyclic terms killed."""
-    return quotient_r(r_product_endo(left, right))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .structures import (
     enumerate_permutations,
     functional_graph,
     mask_vertices,
-    restrict_image,
 )
 
 IDEALS = "ideal enumeration"
@@ -36,15 +35,6 @@ def ideals(f: Endofunction) -> list[frozenset[int]]:
     bitmask order."""
     _check_bound(f.n, None, IDEALS)
     return [frozenset(mask_vertices(m)) for m in closed_subsets(f.image)]
-
-
-def std_restrict(f: Endofunction, subset) -> Endofunction:
-    """std(f^I): values escaping I become fixed, then conjugate by the unique
-    increasing bijection I -> [k]."""
-    keep = sorted(set(subset))
-    if any(v < 1 or v > f.n for v in keep):
-        raise StructureError(f"{keep} is not a subset of the domain of {f.render()}")
-    return Endofunction._of(restrict_image(f.image, sum(1 << (v - 1) for v in keep)))
 
 
 # ---------------------------------------------------------------------------

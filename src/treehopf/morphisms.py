@@ -1,8 +1,8 @@
 """Maps between the algebras.
 
-Covers the plane/ordered canonical labelling, the root-grafting operator B+
-and its shadow b on packed words, the quotient map pi onto WQSym with its
-preimage construction F_w, the embedding of ordered forests into
+Covers the root-grafting operator B+ (its shadow b on packed words is
+:func:`treehopf.words.b_endomorphism`), the quotient map pi onto WQSym
+with its preimage construction F_w, the embedding of ordered forests into
 endofunctions, the projection onto the commutative forest algebra, and the
 noncommutative Faa di Bruno element Z = U^2.
 
@@ -15,12 +15,11 @@ in the target's default basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, NamedTuple
 
 from .algebra import FreeElement, TensorElement, coproduct_element, unit_element
-from .realization import pi_image, rank_of_rows
+from .realization import pi_image
 from .structures import (
     Endofunction,
     OrderedForest,
@@ -32,30 +31,9 @@ from .structures import (
     forest_from_image,
     forest_image,
     functional_graph,
-    ordered_to_plane,
     plane_to_ordered,
     shifted_parents,
 )
-from .words import b_endomorphism  # noqa: F401  (re-export beside b_plus)
-
-__all__ = [
-    "plane_to_ordered",
-    "ordered_to_plane",
-    "b_plus",
-    "MAPS",
-    "Morphism",
-    "pi_hopf",
-    "f_w_preimage",
-    "forest_to_endo",
-    "endo_to_forest",
-    "plane_to_parking",
-    "ck_projection",
-    "faa_di_bruno_z",
-    "z_power_component",
-    "check_faa_di_bruno",
-    "pi_restricted_rank",
-    "minimal_admissible_word",
-]
 
 
 def b_plus(x):
@@ -196,36 +174,3 @@ def check_faa_di_bruno(n: int) -> bool:
                 pair = (a, b)
                 rhs_terms[pair] = rhs_terms.get(pair, 0) + ca * cb
     return lhs == TensorElement("nck", rhs_terms)
-
-
-# ---------------------------------------------------------------------------
-# Injectivity of pi on plane-forest images
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PiRankReport:
-    per_degree: dict[int, tuple[int, int]]  # degree -> (number of forests, rank)
-    minima_distinct: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.minima_distinct and all(n == r for n, r in self.per_degree.values())
-
-    def summary(self) -> str:
-        ranks = ", ".join(f"deg {d}: {r}/{n}" for d, (n, r) in sorted(self.per_degree.items()))
-        extra = "minimal words distinct" if self.minima_distinct else "MINIMAL WORD COLLISION"
-        return f"pi restricted to plane images: {ranks}; {extra}"
-
-
-def pi_restricted_rank(max_degree: int) -> PiRankReport:
-    """Rank of {pi(plane image)} over the M basis, degree by degree, plus
-    distinctness of the lexicographically minimal words."""
-    per_degree = {}
-    minima_ok = True
-    for d in range(1, max_degree + 1):
-        labelled = [plane_to_ordered(p) for p in enumerate_plane_forests(d)]
-        per_degree[d] = (len(labelled), rank_of_rows([pi_image(f).terms for f in labelled]))
-        minima = [minimal_admissible_word(f) for f in labelled]
-        if len(set(minima)) != len(minima):
-            minima_ok = False
-    return PiRankReport(per_degree, minima_ok)

@@ -559,11 +559,8 @@ class Endofunction(_VectorKey):
     def __call__(self, v: int) -> int:
         return self.image[v - 1]
 
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self.image[v - 1] == v)
-
     def num_fixed(self) -> int:
-        return len(self.fixed_points())
+        return sum(w == v for v, w in enumerate(self, start=1))
 
     def compose(self, other: "Endofunction") -> "Endofunction":
         """self after other."""
@@ -629,11 +626,6 @@ def functional_graph(image: Sequence[int]) -> tuple[list[int], list[tuple[int, .
             depth[u] = d
     cycles.sort()
     return depth, cycles
-
-
-def cycle_vertices(f: Endofunction) -> set[int]:
-    """Vertices on a cycle of the functional graph, fixed points included."""
-    return {v for v, d in enumerate(functional_graph(f.image)[0], start=1) if not d}
 
 
 def enumerate_endofunctions(n: int, bound: int | None = None) -> list[Endofunction]:

@@ -18,6 +18,8 @@ Five constructions the library writes in closed form are kept here as the
 recursions that first built them: F_w, the minimal pi word, the Faa di
 Bruno powers, S in the commutative R basis and the WQSym quasi-shuffle.
 The ``realize`` JSON is built here as one dict, which the CLI streams.
+``pi_plane_ranks`` counts what the injectivity of pi on plane forests
+rests on; no library path computes it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import Iterable, Iterator
 
 from treehopf.algebra import FreeElement, TensorElement, accumulate, get_algebra, product_elements, unit_element
 from treehopf.bases import r_commutative
-from treehopf.endo import std_restrict
 from treehopf.morphisms import b_plus
-from treehopf.realization import Letter, Word, _check_truncation, code_base, family
+from treehopf.realization import Letter, Word, _check_truncation, code_base, family, rank_of_rows
 from treehopf.structures import (
     Endofunction,
     OrderedForest,
@@ -176,7 +177,7 @@ def r_product_endo(left: Endofunction, right: Endofunction) -> FreeElement:
     block2 = range(k1 + 1, k1 + k2 + 1)
     terms = {}
     for f in endofunctions(k1 + k2):
-        if std_restrict(f, block1) == left and std_restrict(f, block2) == right:
+        if _restrict(f.image, block1) == left and _restrict(f.image, block2) == right:
             terms[f] = 1
     return FreeElement("efsym", terms)
 
@@ -590,6 +591,19 @@ def minimal_pi_words(n: int) -> dict[tuple[int, ...], PackedWord]:
         for parent in itertools.product(*choices):
             first.setdefault(parent, w)
     return first
+
+
+def pi_plane_ranks(max_degree: int) -> dict[int, tuple[int, int, int]]:
+    """Degree -> (plane forests, rank of the pi images of their labellings
+    over the M basis, distinct smallest words of those images): pi is
+    injective on plane images when the three agree."""
+    out = {}
+    for n in range(1, max_degree + 1):
+        labelled = [OrderedForest(plane_labelling(shape)) for shape in plane_shapes(n)]
+        smallest = minimal_pi_words(n)
+        rank = rank_of_rows([pi_image(f).terms for f in labelled])
+        out[n] = (len(labelled), rank, len({smallest[f.parent] for f in labelled}))
+    return out
 
 
 @lru_cache(maxsize=None)

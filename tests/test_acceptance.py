@@ -6,7 +6,7 @@ lines; the same checks back the CLI's ``verify`` command.
 
 import time
 
-from oracles import product_key
+from oracles import pi_plane_ranks, product_key
 from treehopf.algebra import (
     TensorElement,
     FreeElement,
@@ -18,7 +18,7 @@ from treehopf.algebra import (
     product_elements,
 )
 from treehopf.bases import (
-    quotient_r_product,
+    quotient_r,
     r_from_s_endo,
     r_product_endo,
     r_product_forest,
@@ -37,7 +37,6 @@ from treehopf.morphisms import (
     f_w_preimage,
     forest_to_endo,
     minimal_admissible_word,
-    pi_restricted_rank,
 )
 from treehopf.realization import (
     commutative_image,
@@ -154,8 +153,7 @@ def test_criterion_6_morphism_suite():
             # pi . B+ = b . pi
             assert pi_image(b_plus(forest)) == b_endomorphism(pi_image(forest))
     # rank of pi on plane images is Catalan through degree 4
-    rep = pi_restricted_rank(4)
-    assert rep.ok and [rep.per_degree[d][1] for d in (1, 2, 3, 4)] == [1, 2, 5, 14]
+    assert pi_plane_ranks(4) == {1: (1, 1, 1), 2: (2, 2, 2), 3: (5, 5, 5), 4: (14, 14, 14)}
     # the embedding into endofunctions is injective and Hopf
     for n in range(4):
         images = [forest_to_endo(f) for f in forests_by_degree[n]]
@@ -225,7 +223,7 @@ def test_criterion_8_ideals_and_quotients():
             forest_side = FreeElement("efsym")
             for g, c in r_product_forest(a, b).terms.items():
                 forest_side = forest_side + FreeElement.from_key("efsym", forest_to_endo(g), c)
-            assert forest_side == quotient_r_product(forest_to_endo(a), forest_to_endo(b))
+            assert forest_side == quotient_r(r_product_endo(forest_to_endo(a), forest_to_endo(b)))
 
 
 @report(9, "subalgebra closures")

@@ -317,6 +317,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "coproduct", "--algebra", "wqsym", s_word)[0] == 2
 
 
+def test_efsym_r_basis_over_the_bound_exits_2(capsys, tmp_path):
+    cycle = write_element(tmp_path, "cycle.json", {
+        "algebra": "efsym", "basis": "S", "terms": [{"coeff": "1", "key": "2 3 4 5 6 7 8 9 10 11 1"}],
+    })
+    assert run(capsys, "basis-change", "--from", "S", "--to", "R", "--algebra", "efsym", cycle) == (
+        2, "", "error: endofunction R basis restricted to degree <= 5, got 11\n")
+
+
 def test_realize_over_the_word_budget_exits_2(capsys, monkeypatch):
     # 105^6 words at the default N=14: stopped at the first step over budget
     code, out, err = run(capsys, "realize", "--version", "v1", "--object", "0 0 0 0 0 0")

@@ -12,7 +12,6 @@ from treehopf.endo import (
     is_nondecreasing,
     is_nondecreasing_parking,
     is_permutation,
-    std_restrict,
 )
 from treehopf.structures import (
     Endofunction,
@@ -20,6 +19,7 @@ from treehopf.structures import (
     StructureError,
     enumerate_endofunctions,
     enumerate_permutations,
+    restrict_image,
 )
 
 
@@ -63,16 +63,20 @@ def test_ideals_form_a_lattice(n, data):
 
 def test_std_restrict_examples_from_the_seven_term_coproduct():
     f = E("2 3 2 3 4")
-    assert std_restrict(f, range(1, 6)) == f
-    assert std_restrict(f, {4, 5}) == E("1 1")
-    assert std_restrict(f, {1, 5}) == E("1 2")
-    assert std_restrict(f, {1}) == E("1")
-    assert std_restrict(f, {2, 3, 4, 5}) == E("2 1 2 3")
-    assert std_restrict(f, {1, 2, 3, 4}) == E("2 3 2 3")
-    assert std_restrict(f, {2, 3, 4}) == E("2 1 2")
-    assert std_restrict(f, {1, 2, 3}) == E("2 3 2")
-    assert std_restrict(f, {2, 3}) == E("2 1")
-    assert std_restrict(f, {1, 4, 5}) == E("1 2 2")
+
+    def std(*part):  # std(f^I) for the vertex set I
+        return restrict_image(f, sum(1 << (v - 1) for v in part))
+
+    assert std(1, 2, 3, 4, 5) == f
+    assert std(4, 5) == E("1 1")
+    assert std(1, 5) == E("1 2")
+    assert std(1) == E("1")
+    assert std(2, 3, 4, 5) == E("2 1 2 3")
+    assert std(1, 2, 3, 4) == E("2 3 2 3")
+    assert std(2, 3, 4) == E("2 1 2")
+    assert std(1, 2, 3) == E("2 3 2")
+    assert std(2, 3) == E("2 1")
+    assert std(1, 4, 5) == E("1 2 2")
 
 
 def test_efsym_coproduct_counts_ideals():

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import product_key
+from oracles import pi_plane_ranks, product_key
 from treehopf.algebra import (
     FreeElement,
     TensorElement,
@@ -20,7 +20,6 @@ from treehopf.morphisms import (
     forest_to_endo,
     minimal_admissible_word,
     pi_hopf,
-    pi_restricted_rank,
     plane_to_parking,
     z_power_component,
 )
@@ -274,6 +273,4 @@ def test_faa_di_bruno_coproduct_identity_through_degree_4():
 # ---------------------------------------------------------------------------
 
 def test_pi_restricted_rank_is_catalan():
-    report = pi_restricted_rank(4)
-    assert report.ok
-    assert report.per_degree == {1: (1, 1), 2: (2, 2), 3: (5, 5), 4: (14, 14)}
+    assert pi_plane_ranks(4) == {1: (1, 1, 1), 2: (2, 2, 2), 3: (5, 5, 5), 4: (14, 14, 14)}

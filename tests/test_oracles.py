@@ -36,7 +36,6 @@ from treehopf.structures import (
     RootedForest,
     StructureError,
     canonicalize,
-    cycle_vertices,
     enumerate_admissible_cuts,
     enumerate_ordered_forests,
     enumerate_packed_words,
@@ -482,12 +481,6 @@ def test_letters_outside_the_alphabet_are_rejected():
     for letter in (("C", 1, 2), ("A", 1, 0), ("A", -1, 2), ("A", 1, 3)):
         with pytest.raises(StructureError):
             oracles.encode_word((letter,), 2)
-
-
-def test_cycle_vertices_match_the_oracle():
-    for n in range(7):
-        for f in oracles.endofunctions(n):
-            assert cycle_vertices(f) == oracles.cycle_vertices(f), f
 
 
 def test_functional_graph_matches_the_oracle():

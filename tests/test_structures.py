@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from oracles import ancestors, relabel_forest, restrict_forest
 from treehopf import bases, morphisms, structures
 from treehopf.algebra import ALGEBRAS, FreeElement, antipode_key, get_algebra
-from treehopf.endo import std_restrict
 from treehopf.forests import nwarrow
 from treehopf.realization import FAMILIES, pi_image
 from treehopf.structures import (
@@ -32,6 +31,7 @@ from treehopf.structures import (
     ordered_to_plane,
     pack,
     plane_to_ordered,
+    restrict_image,
 )
 from treehopf.words import b_word
 
@@ -462,7 +462,6 @@ def test_library_builds_no_key_through_the_checking_constructor(monkeypatch):
         for f in enumerate_endofunctions(n):
             f.compose(f)
             f.power(3)
-            std_restrict(f, range(1, n, 2))
     size = 4
     for fam in FAMILIES.values():
         for n in degrees:
@@ -525,5 +524,5 @@ def test_part_table_stays_bounded():
     assert 2 ** DEFAULT_ENUMERATION_BOUND <= size < limit
     # restrictions past the bound are computed, not stored
     wide = Endofunction(tuple(range(1, 13)))
-    assert std_restrict(wide, range(2, 13, 2)) == Endofunction(tuple(range(1, 7)))
+    assert restrict_image(wide, 0b101010101010) == tuple(range(1, 7))  # the even vertices
     assert len(structures._PART_TABLE) == size
