@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import sys
+from functools import cache
 
 from . import bases, verify
 from .algebra import (
@@ -25,7 +26,7 @@ from .algebra import (
     tensor_to_json,
 )
 from .morphisms import MAPS
-from .realization import FAMILIES, code_base, family
+from .realization import FAMILIES, code_base, decode_word, family, letter_codes
 from .structures import EnumerationBoundError, FormatError, StructureError
 
 
@@ -92,13 +93,14 @@ def _emit_element(x: FreeElement, basis: str | None, fmt: str) -> None:
 
 def cmd_product(args, config: dict) -> int:
     basis = "R" if args.basis == "R" else None
-    x = _read_element(args.x, args.algebra, basis)
-    y = _read_element(args.y, args.algebra, basis)
+    tag = get_algebra(args.algebra).tag
+    x = _read_element(args.x, tag, basis)
+    y = _read_element(args.y, tag, basis)
     rule = None
     if basis == "R":
-        r_basis = bases.R_BASES.get(args.algebra)
+        r_basis = bases.R_BASES.get(tag)
         if r_basis is None or r_basis.r_product is None:
-            with_product = [tag for tag, entry in bases.R_BASES.items() if entry.r_product]
+            with_product = [name for name, entry in bases.R_BASES.items() if entry.r_product]
             raise UsageError(f"R-basis products are available for {' and '.join(with_product)}")
         rule = r_basis.r_product
     _emit_element(product_elements(x, y, rule), basis, args.format)
@@ -106,7 +108,7 @@ def cmd_product(args, config: dict) -> int:
 
 
 def cmd_coproduct(args, config: dict) -> int:
-    _emit(tensor_to_json(coproduct_element(_read_element(args.x, args.algebra))))
+    _emit(tensor_to_json(coproduct_element(_read_element(args.x, get_algebra(args.algebra).tag))))
     return 0
 
 
@@ -129,27 +131,20 @@ def cmd_realize(args, config: dict) -> int:
     # the codes read as big-endian digits (the first letter most
     # significant).  The words of one key are distinct: each coefficient is 1.
     codes = list(fam.words(obj, size))
-    base, k = code_base(size), size + 1
+    base = code_base(size)
     for t, code in enumerate(codes):
         big = 0
-        for _ in range(obj.n):
-            code, d = divmod(code, base)
+        for d in letter_codes(code, size):
             big = big * base + d
         codes[t] = big
     codes.sort()
-    letters: dict[int, str] = {}  # digit -> its JSON text, for the digits met
+    # a letter code's JSON text: the letter of the code's one-letter word
+    letter = cache(lambda d: json.dumps(decode_word(d, size)[0], separators=(",", ":")))
     out = sys.stdout
     out.write(f'{{"version":{json.dumps(args.version.upper())},"N":{size},"terms":[')
     for t, code in enumerate(codes):
-        word = []
-        for _ in range(obj.n):
-            code, d = divmod(code, base)
-            if d not in letters:
-                side, i = divmod(d // k, k)
-                letters[d] = f'["{"AB"[side]}",{i},{d % k}]'
-            word.append(letters[d])
-        word.reverse()
-        out.write(f'{"," if t else ""}{{"coeff":"1","word":[{",".join(word)}]}}')
+        word = ",".join(map(letter, letter_codes(code, size)[::-1]))
+        out.write(f'{"," if t else ""}{{"coeff":"1","word":[{word}]}}')
     out.write("]}\n")
     return 0
 
@@ -162,8 +157,9 @@ def cmd_morphism(args, config: dict) -> int:
 def cmd_dims(args, config: dict) -> int:
     ops = get_algebra(args.algebra)
     bound = config.get("enumeration_bound")
-    counts = [str(len(ops.keys_of_degree(n, bound))) for n in range(args.max_degree + 1)]
-    sys.stdout.write(" ".join(counts) + "\n")
+    # The top degree first: one over the bound exits before any is built.
+    counts = [str(len(ops.keys_of_degree(n, bound))) for n in range(args.max_degree, -1, -1)]
+    sys.stdout.write(" ".join(reversed(counts)) + "\n")
     return 0
 
 
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis-change", help="rewrite between the S and R bases")
     p.add_argument("--from", dest="src", choices=["S", "R"], required=True)
     p.add_argument("--to", dest="dst", choices=["S", "R"], required=True)
-    p.add_argument("--algebra", choices=list(bases.R_BASES), required=True)
+    p.add_argument("--algebra", type=str.lower, choices=list(bases.R_BASES), required=True)
     p.add_argument("--format", choices=["json", "latex"], default="json")
     p.add_argument("x")
 

@@ -37,10 +37,10 @@ Words are integers inside the engine.  At truncation N let K = N + 1; the
 letter (side, i, j) has the code ((side == "B") * K + i) * K + j, which is
 at least 1 because j >= 1.  A word is the little-endian number of its letter
 codes in base 2K^2, so the empty word is 0 and concatenation w1 w2 is
-``w1 + w2 * base ** len(w1)``.  Each letter's subscripts are values of the
-structure's vertex variables, so a word's code is a sum of value * weight
-terms and the compatible words are enumerated as sums, one variable at a
-time.  Over the doubled alphabet the enumerator yields one block per closed
+``w1 + w2 * base ** len(w1)``; ``letter_codes`` alone takes a code apart.
+Each letter's subscripts are values of the structure's vertex variables,
+so a word's code is a sum of value * weight terms and the compatible words
+are enumerated as sums, one variable at a time.  Over the doubled alphabet the enumerator yields one block per closed
 set: (B-position mask, A-subword codes, B-subword codes), the B letters
 coded as if they were A.  The doubled words of a block are every pair of an
 A-subword and a B-subword, so they come out already split by side, and a
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import AlgebraOps, AlgebraTagError, FreeElement, get_algebra
@@ -84,23 +85,22 @@ def code_base(size: int) -> int:
     return 2 * (size + 1) * (size + 1)
 
 
-def decode_word(code: int, size: int) -> Word:
-    k = size + 1
+def letter_codes(code: int, size: int) -> list[int]:
+    """The letter codes of a word code at truncation N, first letter first.
+    A letter's code is the code of its one-letter word."""
+    if code < 0:
+        raise StructureError(f"word code must be >= 0, got {code}")
     base = code_base(size)
-    word = []
+    digits = []
     while code:
         code, d = divmod(code, base)
-        side, i = divmod(d // k, k)
-        word.append(("AB"[side], i, d % k))
-    return tuple(word)
+        digits.append(d)
+    return digits
 
 
-def _word_length(code: int, base: int) -> int:
-    n = 0
-    while code:
-        code //= base
-        n += 1
-    return n
+def decode_word(code: int, size: int) -> Word:
+    k = size + 1
+    return tuple([("AB"[d // k // k], d // k % k, d % k) for d in letter_codes(code, size)])
 
 
 class NCPolynomial:
@@ -128,8 +128,8 @@ class NCPolynomial:
         if not left or not right:
             return NCPolynomial({}, size)
         base = code_base(size)
-        length = _word_length(min(left), base)
-        if length == _word_length(max(left), base):
+        length = len(letter_codes(min(left), size))
+        if length == len(letter_codes(max(left), size)):
             # A longer word has a larger code, so every left word has this
             # length: distinct pairs give distinct products.
             shift = base**length
@@ -142,7 +142,7 @@ class NCPolynomial:
             return NCPolynomial(out, size)
         out = {}
         for w1, c1 in left.items():
-            shift = base ** _word_length(w1, base)
+            shift = base ** len(letter_codes(w1, size))
             for w2, c2 in right.items():
                 w = w1 + w2 * shift
                 out[w] = out.get(w, 0) + c1 * c2
@@ -365,18 +365,17 @@ def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, roo
 
     def contains(key, code: int, size: int) -> bool:
         parent = parents(key, size)
-        k, base = size + 1, code_base(size)
-        letters = []
-        for _ in parent:
-            code, d = divmod(code, base)
-            letters.append(divmod(d, k))
-        if code:  # a letter past the n-th
+        if code < 0:
             return False
-        for (first, y), p in zip(letters, parent):
+        k, digits = size + 1, letter_codes(code, size)
+        if len(digits) != len(parent):
+            return False
+        for d, p in zip(digits, parent):
+            first, y = divmod(d, k)
             if first >= k or not y:  # a B letter, or no second subscript
                 return False
             if p:
-                if first != letters[p - 1][1] or not linked(y, first):
+                if first != digits[p - 1] % k or not linked(y, first):
                     return False
             elif not rooted(first, y):
                 return False
@@ -394,11 +393,7 @@ def _interleave(blocks: Iterable[tuple[int, list, list]], n: int, size: int) -> 
     b_side = (size + 1) * (size + 1)
 
     def spread(code: int, places: list[int], offset: int) -> int:
-        out = 0
-        for p in places:
-            code, d = divmod(code, base)
-            out += (d + offset) * p
-        return out
+        return sum(map(operator.mul, letter_codes(code, size), places)) + offset * sum(places)
 
     for mask, a_codes, b_codes in blocks:
         a_places = [base**v for v in range(n) if not mask >> v & 1]
@@ -411,10 +406,7 @@ def _interleave(blocks: Iterable[tuple[int, list, list]], n: int, size: int) -> 
 
 
 def _decoded(version: str, key, size: int, doubled: bool) -> Iterator[Word]:
-    codes = family(version).words(key, size, doubled)
-    if doubled:
-        codes = _interleave(codes, key.n, size)
-    for code in codes:
+    for code in family(version)._codes(key, size, doubled):
         yield decode_word(code, size)
 
 
@@ -481,15 +473,16 @@ class RealizationFamily(NamedTuple):
             x = FreeElement.from_key(self.algebra, x)
         elif not (isinstance(x, FreeElement) and x.algebra == self.algebra):
             raise self._tag_error(x)
-
-        def codes(key):
-            found = self.words(key, size, doubled)
-            return _interleave(found, key.n, size) if doubled else found
-
         if len(x.terms) == 1:  # one key's words are distinct, so dict.fromkeys builds its S^x
             ((key, c),) = x.terms.items()
-            return NCPolynomial(dict.fromkeys(codes(key), c), size)
-        return NCPolynomial(_collected((w, c) for key, c in x.terms.items() for w in codes(key)), size)
+            return NCPolynomial(dict.fromkeys(self._codes(key, size, doubled), c), size)
+        terms = ((w, c) for key, c in x.terms.items() for w in self._codes(key, size, doubled))
+        return NCPolynomial(_collected(terms), size)
+
+    def _codes(self, key, size: int, doubled: bool) -> Iterable[int]:
+        """The word codes of S^x, the doubled blocks interleaved into full codes."""
+        found = self.words(key, size, doubled)
+        return _interleave(found, key.n, size) if doubled else found
 
     __call__ = realize
 
@@ -527,24 +520,16 @@ def oplus_double(key, version: str, size: int) -> NCPolynomial:
 def group_doubled(poly: NCPolynomial) -> dict[tuple[Word, Word], int]:
     """Collect a doubled polynomial by (A-subword, B-subword); this is the
     P(A)Q(B) ~ P (x) Q identification."""
-    base = code_base(poly.size)
-    b_side = (poly.size + 1) * (poly.size + 1)  # letter codes from here on are B letters
-    out: dict[tuple[int, int], int] = {}
+    size = poly.size
+    b_side = (size + 1) * (size + 1)  # letter codes from here on are B letters
+    letter = cache(lambda d: decode_word(d, size)[0])  # one decode per distinct letter code
+    out: dict[tuple[Word, Word], int] = {}
     for code, coeff in poly.codes.items():
-        a = b = 0
-        a_place = b_place = 1
-        while code:
-            code, d = divmod(code, base)
-            if d < b_side:
-                a += d * a_place
-                a_place *= base
-            else:
-                b += d * b_place
-                b_place *= base
+        digits = letter_codes(code, size)
+        a = tuple([letter(d) for d in digits if d < b_side])
+        b = tuple([letter(d) for d in digits if d >= b_side])
         out[a, b] = out.get((a, b), 0) + coeff
-    return {
-        (decode_word(a, poly.size), decode_word(b, poly.size)): c for (a, b), c in out.items() if c
-    }
+    return {pair: c for pair, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,8 @@ def suite_realization(max_degree: int = 3) -> list[Outcome]:
     out = []
     size = REALIZATION_SIZE
     for version, fam in FAMILIES.items():
-        keys = [fam.ops.keys_of_degree(d) for d in range(max_degree + 1)]
+        # The top degree first: one over the bound raises before any is built.
+        keys = [fam.ops.keys_of_degree(d) for d in range(max_degree, -1, -1)][::-1]
         pairs = (
             (a, b)
             for total in range(2, max_degree + 1)

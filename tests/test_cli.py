@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import resource
 import subprocess
@@ -261,6 +262,19 @@ def test_realize_transcripts(capsys):
     assert "".join(out).encode() == expected
 
 
+def test_golden_replay_diffs_the_terms():
+    cases = json.loads(Path(verify.__file__).with_name("golden").joinpath("forests.json").read_text())["cases"]
+    case = next(c for c in cases if c["name"] == "ck-coproduct-forked-4-tree-7-terms")
+    changed = dict(case, expected=[dict(t) for t in case["expected"]])
+    changed["expected"][2]["coeff"] = "2"  # (()) (x) (()) has coefficient 1
+    assert verify._replay_case(changed) == (
+        "ck-coproduct-forked-4-tree-7-terms",
+        False,
+        "missing: {'coeff': '2', 'left': '(())', 'right': '(())'}"
+        " | unexpected: {'coeff': '1', 'left': '(())', 'right': '(())'}",
+    )
+
+
 def test_unknown_golden_op_is_rejected():
     from treehopf.verify import _replay_case
 
@@ -315,6 +329,41 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         "algebra": "wqsym", "basis": "S", "terms": [{"coeff": "1", "key": "1 1"}],
     })
     assert run(capsys, "coproduct", "--algebra", "wqsym", s_word)[0] == 2
+
+
+def test_algebra_tags_are_case_insensitive(capsys, tmp_path):
+    s = write_element(tmp_path, "s.json", HO_CHAIN)
+    r = write_element(tmp_path, "r.json", dict(HO_CHAIN, basis="R"))
+    calls = [
+        ("product", "--basis", "S", s, s),
+        ("product", "--basis", "R", r, r),
+        ("coproduct", s),
+        ("basis-change", "--from", "S", "--to", "R", s),
+        ("dims", "--max-degree", "3"),
+    ]
+    for command, *rest in calls:
+        lower = run(capsys, command, "--algebra", "ho", *rest)
+        assert lower[0] == 0 and run(capsys, command, "--algebra", "HO", *rest) == lower, command
+
+
+@pytest.mark.parametrize("argv, tag", [
+    (("dims", "--algebra", "efsym", "--max-degree", "9"), "efsym"),
+    (("verify", "--suite", "realization", "--max-degree", "9"), "ho"),
+])
+def test_an_over_bound_degree_exits_before_building(capsys, monkeypatch, argv, tag):
+    """The top degree is asked for first, so a degree over the enumeration
+    bound exits 2 before any lower degree is built."""
+    ops, asked = ALGEBRAS[tag], []
+
+    def keys_of_degree(n, bound=None):
+        asked.append(n)
+        assert n == 9, f"degree {n} built before degree 9"
+        return ops.keys_of_degree(n, bound)
+
+    monkeypatch.setitem(ALGEBRAS, tag, dataclasses.replace(ops, keys_of_degree=keys_of_degree))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and "exceeds bound 8" in err
+    assert asked == [9]
 
 
 def test_efsym_r_basis_over_the_bound_exits_2(capsys, tmp_path):
@@ -431,6 +480,17 @@ def test_verify_all_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "3")
     assert code == 0 and "FAIL" not in out
     assert out.encode() == expected
+
+
+def test_verify_all_runs_every_suite_at_degree_2(capsys):
+    # The rows of the pinned degree-3 run, less its degree-3 rank rows.
+    pinned = (Path(__file__).parent / "data" / "verify_all.txt").read_text().splitlines()[:-1]
+    labels = [line.split(": ")[0] for line in pinned]  # "PASS <label>"
+    expected = [label.replace("deg<=3", "deg<=2") for label in labels if not label.endswith(" deg 3 N=8")]
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "2")
+    lines = out.splitlines()
+    assert code == 0 and "FAIL" not in out and lines[-1] == f"{len(expected)}/{len(expected)} checks passed"
+    assert [line.split(": ")[0] for line in lines[:-1]] == expected
 
 
 def test_verify_realization_ranks_every_degree(capsys, monkeypatch):

@@ -1,4 +1,7 @@
 import itertools
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from treehopf.realization import (
     commutative_image,
     decode_word,
     family,
+    letter_codes,
     pi_image,
     project_second_subscript,
     rank_check,
@@ -33,6 +37,40 @@ from treehopf.words import wqsym_realize
 
 def A(i, j):
     return ("A", i, j)
+
+
+# ---------------------------------------------------------------------------
+# Word codes
+# ---------------------------------------------------------------------------
+
+def test_letter_codes_read_a_word_first_letter_first():
+    size = 3
+    word = (A(1, 2), ("B", 0, 3), A(3, 1))
+    code = oracles.encode_word(word, size)
+    assert letter_codes(code, size) == [oracles.encode_word((letter,), size) for letter in word]
+    assert letter_codes(0, size) == [] and decode_word(0, size) == ()
+    assert decode_word(code, size) == word
+
+
+def test_a_negative_word_code_never_decodes():
+    """divmod(-1, base) is (-1, base - 1), so a digit loop that took a
+    negative code would grow its list until memory ran out: the calls run
+    in a child under a 200 MB address space."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    script = (
+        "from treehopf.realization import decode_word, letter_codes\n"
+        "for read in (letter_codes, decode_word):\n"
+        "    try:\n"
+        "        read(-1, 3)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == "StructureError word code must be >= 0, got -1\n" * 2
 
 
 # ---------------------------------------------------------------------------
