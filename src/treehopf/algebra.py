@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .structures import Table, cut_terms
 
@@ -131,8 +130,7 @@ class TensorElement(_Combination):
 # Registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgebraOps:
+class AlgebraOps(NamedTuple):
     """Callbacks a concrete algebra registers for the generic machinery."""
 
     tag: str
@@ -154,18 +152,18 @@ def register_algebra(ops: AlgebraOps) -> None:
 
 
 def register_map_algebra(tag: str, key_type: type, keys_of_degree: Callable[[int], Sequence],
-                         image: Callable, from_image: Callable, what: str) -> None:
+                         image: Callable, from_image: Callable) -> None:
     """Register an algebra whose key x is read as the map ``image(x)`` on
     {1..n} and rebuilt from a map by ``from_image``.  The product is shifted
     concatenation of the maps; the coproduct is the cut rule
-    (:func:`~treehopf.structures.cut_terms`, bound errors naming ``what``)."""
+    (:func:`~treehopf.structures.cut_terms`)."""
 
     def product(a, b) -> FreeElement:
         shift = a.n
         return FreeElement.from_key(tag, from_image(image(a) + tuple([w + shift for w in image(b)])))
 
     def coproduct(x) -> TensorElement:
-        return TensorElement(tag, cut_terms(image(x), from_image, what))
+        return TensorElement(tag, cut_terms(image(x), from_image))
 
     register_algebra(AlgebraOps(tag, key_type, keys_of_degree, product, coproduct))
 
@@ -240,18 +238,25 @@ def _tables(ops: AlgebraOps) -> tuple[Callable, Callable]:
     return (lambda a, b: products[a, b]), Table(ops.coproduct).__getitem__
 
 
+def keys_up_to(ops: AlgebraOps, top: int) -> list[Sequence]:
+    """The key lists of degrees 0..top, in ascending order.  The top degree
+    is asked for first, so one over the enumeration bound raises before any
+    lower degree is built."""
+    return [ops.keys_of_degree(d) for d in range(top, -1, -1)][::-1]
+
+
 # ---------------------------------------------------------------------------
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckReport:
     """Outcome of a brute-force axiom check; failures are data, not errors."""
 
-    name: str
-    algebra: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "algebra", "checked", "failures")
+
+    def __init__(self, name: str, algebra: str, checked: int = 0, failures: list[str] | None = None):
+        self.name, self.algebra, self.checked = name, algebra, checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -270,8 +275,8 @@ def check_coassociativity(tag: str, max_degree: int) -> CheckReport:
     ops = get_algebra(tag)
     report = CheckReport("coassociativity", ops.tag)
     coproduct = Table(ops.coproduct)
-    for n in range(max_degree + 1):
-        for key in ops.keys_of_degree(n):
+    for keys in keys_up_to(ops, max_degree):
+        for key in keys:
             report.checked += 1
             diff: dict = {}
             for (a, b), c in coproduct[key].terms.items():
@@ -308,7 +313,7 @@ def check_bialgebra_compat(tag: str, max_degree: int, sample_degree: int | None 
             report.failures.append(f"{a.render()} | {b.render()}")
 
     top = max_degree if sample_degree is None else max(max_degree, sample_degree)
-    keys = [ops.keys_of_degree(d) for d in range(top + 1)]
+    keys = keys_up_to(ops, top)
     for total in range(max_degree + 1):
         for da in range(total + 1):
             for a in keys[da]:
@@ -371,8 +376,8 @@ def check_antipode(tag: str, max_degree: int) -> CheckReport:
     report = CheckReport("antipode-convolution", ops.tag)
     product, coproduct = _tables(ops)
     antipodes: dict = {}
-    for n in range(1, max_degree + 1):
-        for key in ops.keys_of_degree(n):
+    for keys in keys_up_to(ops, max_degree)[1:]:
+        for key in keys:
             report.checked += 1
             conv: dict = {}
             for (a, b), coeff in coproduct(key).terms.items():

@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .morphisms import MAPS
 from .realization import FAMILIES, code_base, decode_word, family, letter_codes
-from .structures import EnumerationBoundError, FormatError, StructureError
+from .structures import _NATURAL, EnumerationBoundError, FormatError, StructureError
 
 
 class UsageError(Exception):
@@ -186,12 +186,13 @@ COMMANDS = {
 }
 
 
-def degree(text: str) -> int:
-    """A ``--max-degree`` value: an integer, at least 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def natural(text: str) -> int:
+    """A ``--max-degree`` or ``--indices`` value: a run of ASCII digits, the
+    rule of key text.  A sign, padding, an underscore or another script's
+    digit, all of which ``int`` accepts, is a usage error."""
+    if not _NATURAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="polynomial realization of one object")
     p.add_argument("--version", choices=[v for v, fam in FAMILIES.items() if not fam.internal], required=True)
-    p.add_argument("--indices", type=int, default=None, help="truncation N (default 2n+2)")
+    p.add_argument("--indices", type=natural, default=None, help="truncation N (default 2n+2)")
     p.add_argument("--object", required=True, help="text form of the forest or endofunction")
 
     p = sub.add_parser("morphism", help="apply a named map to an element")
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimensions of the graded components")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--max-degree", type=degree, required=True)
+    p.add_argument("--max-degree", type=natural, required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*verify.SUITES, "all"],
         required=True,
     )
-    p.add_argument("--max-degree", type=degree, default=3)
+    p.add_argument("--max-degree", type=natural, default=3)
     return parser
 
 

@@ -19,7 +19,6 @@ from .structures import (
     Endofunction,
     Permutation,
     StructureError,
-    _check_bound,
     closed_subsets,
     enumerate_endofunctions,
     enumerate_permutations,
@@ -27,13 +26,10 @@ from .structures import (
     mask_vertices,
 )
 
-IDEALS = "ideal enumeration"
-
 
 def ideals(f: Endofunction) -> list[frozenset[int]]:
     """All ideals of f (subsets I with f^{-1}(I) inside I), in increasing
     bitmask order."""
-    _check_bound(f.n, None, IDEALS)
     return [frozenset(mask_vertices(m)) for m in closed_subsets(f.image)]
 
 
@@ -78,5 +74,5 @@ def burnside_graphical(f: Endofunction, p: int, q: int) -> bool:
     return not any(abs(p - q) % len(c) for c in cycles) and max(depth, default=0) <= min(p, q)
 
 
-register_map_algebra("efsym", Endofunction, enumerate_endofunctions, tuple, Endofunction._of, IDEALS)
-register_map_algebra("sgsym", Permutation, enumerate_permutations, tuple, Permutation._of, IDEALS)
+register_map_algebra("efsym", Endofunction, enumerate_endofunctions, tuple, Endofunction._of)
+register_map_algebra("sgsym", Permutation, enumerate_permutations, tuple, Permutation._of)

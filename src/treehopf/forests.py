@@ -34,8 +34,6 @@ from .structures import (
     shifted_parents,
 )
 
-CUTS = "admissible cut enumeration"
-
 
 def nwarrow(left: OrderedForest, right: OrderedForest) -> OrderedForest:
     """Graft ``right`` (shifted by |left|) onto the greatest vertex of ``left``."""
@@ -45,8 +43,8 @@ def nwarrow(left: OrderedForest, right: OrderedForest) -> OrderedForest:
 
 
 register_map_algebra("ho", OrderedForest, enumerate_ordered_forests, forest_image,
-                     lambda image: forest_from_image(image, OrderedForest._of), CUTS)
+                     lambda image: forest_from_image(image, OrderedForest._of))
 register_map_algebra("nck", PlaneForest, enumerate_plane_forests, forest_image,
-                     lambda image: forest_from_image(image, PlaneForest._of), CUTS)
+                     lambda image: forest_from_image(image, PlaneForest._of))
 register_map_algebra("ck", RootedForest, enumerate_rooted_forests, forest_image,
-                     lambda image: RootedForest._of(forest_from_image(image, canonical_parents)), CUTS)
+                     lambda image: RootedForest._of(forest_from_image(image, canonical_parents)))

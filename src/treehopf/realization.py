@@ -50,7 +50,6 @@ check can compare whole blocks without forming the pairs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -336,8 +335,8 @@ def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, roo
 
     def doubled_words(parent: Sequence[int], size: int) -> Iterator[tuple]:
         # No B letter sits above an A letter: the B positions form a closed
-        # set of the map, the Lea part of a cut.  The word count, not the
-        # size, bounds them.
+        # set of the map, the Lea part of a cut.  closed_subsets holds the
+        # size to the enumeration bound; WORD_BUDGET bounds each side's words.
         positions = range(1, len(parent) + 1)
         image = [p or v for v, p in enumerate(parent, start=1)]
         for mask in closed_subsets(image):
@@ -634,8 +633,7 @@ def rank_of_rows(rows: Sequence[dict]) -> int:
     return rank
 
 
-@dataclass
-class RankReport:
+class RankReport(NamedTuple):
     label: str
     keys: int
     rank: int

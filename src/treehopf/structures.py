@@ -278,8 +278,9 @@ def closed_subsets(image: Sequence[int]) -> list[int]:
 
     Vertices are decided from n down to 1.  Taking v takes every vertex whose
     iterates reach v; v is skipped when one of those was left out.  Every
-    branch ends in a closed set, so no 2^n filter runs; callers bound n."""
+    branch ends in a closed set, so no 2^n filter runs; n is bounded here."""
     n = len(image)
+    _check_bound(n, None, "closed set enumeration")
     reach = [1 << v for v in range(n)]  # reach[v]: vertices whose iterates reach v
     for u in range(n):
         seen, w = 0, u
@@ -325,7 +326,7 @@ def _part_entry(size_and_part: tuple[int, int]) -> tuple[tuple[int, ...], tuple[
 
 
 # One entry per (n, part) up to the enumeration bound, at most 2^(bound+1):
-# every cut coproduct checks the bound before it restricts.
+# every cut coproduct lists its closed sets, under the bound, before it restricts.
 _PART_TABLE = Table(_part_entry)
 
 
@@ -339,10 +340,9 @@ def restrict_image(image: Sequence[int], part: int) -> tuple[int, ...]:
     return tuple([rank[image[i]] or rank[i + 1] for i in indices])
 
 
-def cut_terms(image: Sequence[int], make, what: str) -> dict:
+def cut_terms(image: Sequence[int], make) -> dict:
     """The cut coproduct: make(Roo) (x) make(Lea) summed over the closed sets
     Lea, where Roo is the complement and each part a standardized restriction."""
-    _check_bound(len(image), None, what)
     full = (1 << len(image)) - 1
     part = Table(make)  # parts repeat across the cuts of one key
     terms: dict = {}
@@ -360,7 +360,6 @@ def enumerate_admissible_cuts(forest) -> list[frozenset[int]]:
     (see :func:`forest_image` for the labelling of unlabelled forests).
     """
     image = forest_image(forest)
-    _check_bound(len(image), None, "admissible cut enumeration")
     cuts = [
         sum(1 << (v - 1) for v in mask_vertices(lea) if image[v - 1] == v or not lea >> (image[v - 1] - 1) & 1)
         for lea in closed_subsets(image)

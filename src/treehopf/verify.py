@@ -27,6 +27,7 @@ from .algebra import (
     check_bialgebra_compat,
     check_coassociativity,
     get_algebra,
+    keys_up_to,
     tensor_to_json,
     element_to_json,
 )
@@ -170,8 +171,7 @@ def suite_realization(max_degree: int = 3) -> list[Outcome]:
     out = []
     size = REALIZATION_SIZE
     for version, fam in FAMILIES.items():
-        # The top degree first: one over the bound raises before any is built.
-        keys = [fam.ops.keys_of_degree(d) for d in range(max_degree, -1, -1)][::-1]
+        keys = keys_up_to(fam.ops, max_degree)
         pairs = (
             (a, b)
             for total in range(2, max_degree + 1)

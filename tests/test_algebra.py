@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 
 import pytest
@@ -23,9 +22,17 @@ from treehopf.algebra import (
     get_algebra,
     product_elements,
     tensor_from_json,
+    tensor_product,
     unit_element,
 )
-from treehopf.structures import OrderedForest, PackedWord, RootedForest, enumerate_ordered_forests
+from treehopf.structures import (
+    EnumerationBoundError,
+    OrderedForest,
+    PackedWord,
+    RootedForest,
+    canonicalize,
+    enumerate_ordered_forests,
+)
 
 KEYS = enumerate_ordered_forests(2) + enumerate_ordered_forests(1)
 
@@ -200,7 +207,7 @@ def swap_kernels(monkeypatch):
     algebra._ANTIPODE_CACHE.clear()
 
     def swap(tag, **kernels):
-        monkeypatch.setitem(ALGEBRAS, tag, dataclasses.replace(ALGEBRAS[tag], **kernels))
+        monkeypatch.setitem(ALGEBRAS, tag, ALGEBRAS[tag]._replace(**kernels))
 
     yield swap
     algebra._ANTIPODE_CACHE.clear()
@@ -366,7 +373,7 @@ def test_tensor_json_of_the_wrong_shape_is_rejected(payload):
 
 def test_registry_reads_keys_through_their_own_methods():
     for tag, ops in ALGEBRAS.items():
-        fields = [f.name for f in dataclasses.fields(ops)]
+        fields = list(ops._fields)
         assert fields == ["tag", "key_type", "keys_of_degree", "product", "coproduct", "default_basis"]
         assert ops.unit_key == ops.key_type.parse("") and ops.unit_key.n == 0, tag
         for d in range(4):
@@ -384,3 +391,54 @@ def test_latex_rendering():
 def test_wqsym_default_basis_is_m():
     assert get_algebra("wqsym").default_basis == "M"
     assert get_algebra("WQSym").tag == "wqsym"
+
+
+def test_negation_and_the_hash_of_equal_elements():
+    x = elt([(KEYS[0], 2), (KEYS[1], -1)])
+    assert -x == elt([(KEYS[0], -2), (KEYS[1], 1)]) and -(-x) == x
+    same = elt([(KEYS[1], -1), (KEYS[0], 2)])  # other insertion order
+    assert hash(same) == hash(x) and len({x, same}) == 1
+
+
+def test_map_keys_refuses_an_image_of_another_tag():
+    x = elt([(KEYS[0], 3)])
+    to_ck = lambda key: FreeElement.from_key("ck", canonicalize(key))
+    assert x.map_keys(to_ck, "ck") == FreeElement("ck", {canonicalize(KEYS[0]): 3})
+    with pytest.raises(AlgebraTagError, match="cannot combine ho with 'ck'"):
+        x.map_keys(to_ck)
+
+
+def test_tensor_product_refuses_two_tags():
+    leaf = RootedForest.parse("()")
+    ho = TensorElement("ho", {(KEYS[0], KEYS[1]): 1})
+    ck = TensorElement("ck", {(leaf, leaf): 1})
+    with pytest.raises(AlgebraTagError, match="cannot multiply ho by ck tensors"):
+        tensor_product(ho, ck)
+
+
+def test_latex_of_a_minus_one_coefficient():
+    a, b = OrderedForest.parse("0 0"), OrderedForest.parse("0 1")
+    assert element_to_latex(FreeElement("ho", {a: -1, b: 1})) == "-S^{(0 0)}+S^{(0 1)}"
+    assert element_to_latex(FreeElement("ho", {a: 3, b: -1})) == "3\\,S^{(0 0)}-S^{(0 1)}"
+
+
+@pytest.mark.parametrize("check, args", [
+    (check_coassociativity, (9,)),
+    (check_bialgebra_compat, (9,)),
+    (check_bialgebra_compat, (2, 9)),
+    (check_antipode, (9,)),
+], ids=["coassociativity", "compat", "compat-sample", "antipode"])
+def test_axiom_checks_ask_for_the_top_degree_first(monkeypatch, check, args):
+    """A degree over the enumeration bound raises before any lower degree is
+    built: efsym at degree 8 alone holds 16.7 M keys."""
+    ops, asked = ALGEBRAS["efsym"], []
+
+    def keys_of_degree(n, bound=None):
+        asked.append(n)
+        assert n == 9, f"degree {n} built before degree 9"
+        return ops.keys_of_degree(n, bound)
+
+    monkeypatch.setitem(ALGEBRAS, "efsym", ops._replace(keys_of_degree=keys_of_degree))
+    with pytest.raises(EnumerationBoundError, match="endofunction enumeration at size 9 exceeds bound 8"):
+        check("efsym", *args)
+    assert asked == [9]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import resource
 import subprocess
@@ -90,7 +89,7 @@ def test_chains_deeper_than_the_recursion_limit(capsys, tmp_path, tag):
     assert code == 0 and err == ""
     assert json.loads(out)["terms"] == [{"coeff": "1", "key": chain + " ()"}]
     code, out, err = run(capsys, "coproduct", "--algebra", tag, x)
-    assert code == 2 and out == "" and f"admissible cut enumeration at size {depth} exceeds bound 8" in err
+    assert code == 2 and out == "" and f"closed set enumeration at size {depth} exceeds bound 8" in err
 
 
 def test_basis_change_roundtrip(capsys, tmp_path):
@@ -360,10 +359,39 @@ def test_an_over_bound_degree_exits_before_building(capsys, monkeypatch, argv, t
         assert n == 9, f"degree {n} built before degree 9"
         return ops.keys_of_degree(n, bound)
 
-    monkeypatch.setitem(ALGEBRAS, tag, dataclasses.replace(ops, keys_of_degree=keys_of_degree))
+    monkeypatch.setitem(ALGEBRAS, tag, ops._replace(keys_of_degree=keys_of_degree))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ") and "exceeds bound 8" in err
     assert asked == [9]
+
+
+@pytest.mark.parametrize("text", ["+3", " 3", "\u0663", "1_0"])
+def test_integer_options_read_ascii_digits_only(capsys, text):
+    """--max-degree and --indices follow the rule of key text: a sign,
+    padding, another script's digit (here an Arabic-Indic 3) or an
+    underscore, all of which ``int`` accepts, exits 2."""
+    for argv in (
+        ("dims", "--algebra", "ho", "--max-degree", text),
+        ("realize", "--version", "v1", "--object", "0", "--indices", text),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert f"expected a natural number, got {text!r}" in err
+
+
+def test_import_loads_no_dataclasses_or_introspection():
+    """Every CLI call and benchmark child pays for ``import treehopf.cli``.
+    One ``dataclasses`` import pulled in ``inspect``, ``ast`` and ``dis`` and
+    took about 13 ms of a 117 ms fresh import (2-core x86, CPython 3.11)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import treehopf.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_efsym_r_basis_over_the_bound_exits_2(capsys, tmp_path):

@@ -1,6 +1,5 @@
 """The output-sensitive constructions against their brute-force oracles."""
 
-import dataclasses
 import json
 import random
 
@@ -389,7 +388,7 @@ def spoil_the_coproduct(spoil):
         def coproduct(key):
             return TensorElement(ops.tag, spoil(list(ops.coproduct(key).terms.items())))
 
-        return dataclasses.replace(ops, coproduct=coproduct)
+        return ops._replace(coproduct=coproduct)
 
     return broken
 
@@ -399,8 +398,8 @@ BROKEN_KERNELS = {
     "coproduct term doubled": spoil_the_coproduct(
         lambda terms: dict([(t, 2 * c) for t, c in terms[:1]] + terms[1:])
     ),
-    "product scaled by 2": lambda ops: dataclasses.replace(ops, product=lambda a, b: 2 * ops.product(a, b)),
-    "product factors swapped": lambda ops: dataclasses.replace(ops, product=lambda a, b: ops.product(b, a)),
+    "product scaled by 2": lambda ops: ops._replace(product=lambda a, b: 2 * ops.product(a, b)),
+    "product factors swapped": lambda ops: ops._replace(product=lambda a, b: ops.product(b, a)),
 }
 
 

@@ -24,6 +24,7 @@ from treehopf.realization import (
 )
 from treehopf.structures import (
     Endofunction,
+    EnumerationBoundError,
     OrderedForest,
     Permutation,
     StructureError,
@@ -281,6 +282,21 @@ def test_doubling_transport_degree_2_at_n5(version):
     for d in (0, 1, 2):
         for key in family(version).ops.keys_of_degree(d):
             assert doubling_transport_ok(version, key, 5)
+
+
+def test_doubled_blocks_keep_the_closed_set_bound():
+    """Nine positions, one past the enumeration bound: the doubled blocks
+    refuse before the first one, as the coproduct they mirror does."""
+    nine = {
+        "v1": OrderedForest((0,) * 9),
+        "v2": OrderedForest((0,) * 9),
+        "func": Endofunction(tuple(range(1, 10))),
+        "perm": Permutation(tuple(range(1, 10))),
+    }
+    for version, key in nine.items():
+        blocks = family(version).words(key, 2, doubled=True)
+        with pytest.raises(EnumerationBoundError, match="^closed set enumeration at size 9 exceeds bound 8$"):
+            next(iter(blocks))
 
 
 @pytest.mark.slow

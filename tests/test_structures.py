@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from oracles import ancestors, relabel_forest, restrict_forest
 from treehopf import bases, morphisms, structures
 from treehopf.algebra import ALGEBRAS, FreeElement, antipode_key, get_algebra
+from treehopf.endo import ideals
 from treehopf.forests import nwarrow
 from treehopf.realization import FAMILIES, pi_image
 from treehopf.structures import (
@@ -526,3 +527,23 @@ def test_part_table_stays_bounded():
     wide = Endofunction(tuple(range(1, 13)))
     assert restrict_image(wide, 0b101010101010) == tuple(range(1, 7))  # the even vertices
     assert len(structures._PART_TABLE) == size
+
+
+def test_compose_and_power_refuse_bad_arguments():
+    f = Endofunction((2, 1))
+    with pytest.raises(StructureError, match="composition needs equal domains"):
+        f.compose(Endofunction((1, 1, 1)))
+    with pytest.raises(StructureError, match="negative iteration"):
+        f.power(-1)
+
+
+def test_closed_sets_are_bounded_for_every_caller():
+    chain = OrderedForest(tuple(range(DEFAULT_ENUMERATION_BOUND + 1)))  # one vertex past the bound
+    image = structures.forest_image(chain)
+    for call in (
+        lambda: structures.closed_subsets(image),
+        lambda: enumerate_admissible_cuts(chain),
+        lambda: ideals(Endofunction(image)),
+    ):
+        with pytest.raises(EnumerationBoundError, match="^closed set enumeration at size 9 exceeds bound 8$"):
+            call()
