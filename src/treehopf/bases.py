@@ -117,7 +117,6 @@ def ck_s_in_r(forest: RootedForest) -> FreeElement:
     """S^F in the commutative R basis: the image of S^F = sum of R_g over
     the down-set of a labelling of F, so R^G counts the forests of shape G
     in that down-set."""
-    _check_r_bound(forest.n, "commutative R basis")
     return s_in_r_forest(OrderedForest._of(forest.parent)).map_keys(canonicalize, algebra="ck")
 
 

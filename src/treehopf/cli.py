@@ -157,8 +157,11 @@ def cmd_morphism(args, config: dict) -> int:
 def cmd_dims(args, config: dict) -> int:
     ops = get_algebra(args.algebra)
     bound = config.get("enumeration_bound")
-    # The top degree first: one over the bound exits before any is built.
-    counts = [str(len(ops.keys_of_degree(n, bound))) for n in range(args.max_degree, -1, -1)]
+    # A config bound only lowers the library's; the top degree is asked for
+    # first, so one over the library's bound exits before any is built.
+    if bound is not None and args.max_degree > bound:
+        raise EnumerationBoundError(f"dims --max-degree {args.max_degree} exceeds bound {bound}")
+    counts = [str(len(ops.keys_of_degree(n))) for n in range(args.max_degree, -1, -1)]
     sys.stdout.write(" ".join(reversed(counts)) + "\n")
     return 0
 

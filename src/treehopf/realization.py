@@ -560,7 +560,7 @@ def pi_image(forest: OrderedForest) -> FreeElement:
     of the vertices still free whose parents already hold smaller values
     (the roots, at first).  Each level-set sequence is one packed word.
     """
-    _check_bound(forest.n, None, "packed word enumeration")
+    _check_bound(forest.n, "packed word enumeration")
     n = forest.n
     kids = forest.children()
     letters = [0] * n

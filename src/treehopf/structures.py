@@ -69,13 +69,12 @@ class FormatError(StructureError):
 
 
 class EnumerationBoundError(RuntimeError):
-    """Requested enumeration exceeds the configured size bound."""
+    """Requested enumeration exceeds its size bound."""
 
 
-def _check_bound(n: int, bound: int | None, what: str) -> None:
-    limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
-    if n > limit:
-        raise EnumerationBoundError(f"{what} at size {n} exceeds bound {limit}")
+def _check_bound(n: int, what: str) -> None:
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundError(f"{what} at size {n} exceeds bound {DEFAULT_ENUMERATION_BOUND}")
 
 
 _TOKEN = re.compile(r"[^ \t\n\r\f\v]+")
@@ -171,21 +170,11 @@ class OrderedForest(_VectorKey):
                 raise StructureError(f"parent of vertex {v} out of range: {p}")
             if p == v:
                 raise StructureError(f"vertex {v} is its own parent")
-        # mark[w] is -1 once w is known to reach a root and v while w is on
-        # the chain from v: each walk stops at a vertex already known, and a
-        # cycle is named by its first repeated vertex from the smallest start.
-        mark = [-1] + [0] * n
-        for v in range(1, n + 1):
-            w = v
-            while not mark[w]:
-                mark[w] = v
-                w = self[w - 1]
-            if mark[w] == v:
-                raise StructureError(f"parent vector contains a cycle through {w}")
-            w = v
-            while mark[w] == v:
-                mark[w] = -1
-                w = self[w - 1]
+        # f_F fixes exactly the roots, so its other cycles are parent cycles,
+        # each named by its least vertex, the least such cycle first
+        for cycle in functional_graph(forest_image(self))[1]:
+            if len(cycle) > 1:
+                raise StructureError(f"parent vector contains a cycle through {cycle[0]}")
 
     def roots(self) -> tuple[int, ...]:
         return tuple(v for v, p in enumerate(self, start=1) if p == 0)
@@ -237,10 +226,10 @@ def acyclic_parent_vectors(choices: Sequence[Sequence[int]]) -> list[OrderedFore
     return out
 
 
-def enumerate_ordered_forests(n: int, bound: int | None = None) -> list[OrderedForest]:
+def enumerate_ordered_forests(n: int) -> list[OrderedForest]:
     """All ordered forests on {1..n}, lexicographic in the parent vector: the
     down-set of the edgeless forest, where every vertex may take any parent."""
-    _check_bound(n, bound, "ordered forest enumeration")
+    _check_bound(n, "ordered forest enumeration")
     return acyclic_parent_vectors([range(n + 1)] * n)
 
 
@@ -280,7 +269,7 @@ def closed_subsets(image: Sequence[int]) -> list[int]:
     iterates reach v; v is skipped when one of those was left out.  Every
     branch ends in a closed set, so no 2^n filter runs; n is bounded here."""
     n = len(image)
-    _check_bound(n, None, "closed set enumeration")
+    _check_bound(n, "closed set enumeration")
     reach = [1 << v for v in range(n)]  # reach[v]: vertices whose iterates reach v
     for u in range(n):
         seen, w = 0, u
@@ -325,8 +314,8 @@ def _part_entry(size_and_part: tuple[int, int]) -> tuple[tuple[int, ...], tuple[
     return indices, tuple(rank)
 
 
-# One entry per (n, part) up to the enumeration bound, at most 2^(bound+1):
-# every cut coproduct lists its closed sets, under the bound, before it restricts.
+# One entry per (n, part), at most 2^(bound+1): every cut coproduct lists its
+# closed sets, under the bound, before it restricts.
 _PART_TABLE = Table(_part_entry)
 
 
@@ -335,8 +324,7 @@ def restrict_image(image: Sequence[int], part: int) -> tuple[int, ...]:
     escaping ``part`` becomes a fixed point, then the vertices of ``part``
     are renamed 1, 2, ... in increasing order, so vertex t becomes the
     number of vertices of ``part`` up to t."""
-    n = len(image)
-    indices, rank = _PART_TABLE[n, part] if n <= DEFAULT_ENUMERATION_BOUND else _part_entry((n, part))
+    indices, rank = _PART_TABLE[len(image), part]
     return tuple([rank[image[i]] or rank[i + 1] for i in indices])
 
 
@@ -439,10 +427,10 @@ def shifted_parents(parent: Sequence[int], by: int, root: int = 0) -> tuple[int,
     return tuple(p + by if p else root for p in parent)
 
 
-def enumerate_plane_forests(n: int, bound: int | None = None) -> list[PlaneForest]:
+def enumerate_plane_forests(n: int) -> list[PlaneForest]:
     """All plane forests with n vertices (Catalan many): by the size of the
     first tree, then its subforest, then the rest of the forest."""
-    _check_bound(n, bound, "plane forest enumeration")
+    _check_bound(n, "plane forest enumeration")
     return list(map(PlaneForest._of, _plane_vectors(n)))
 
 
@@ -531,10 +519,10 @@ def canonicalize(forest: OrderedForest | PlaneForest | RootedForest) -> RootedFo
     return RootedForest._of(canonical_parents(forest.parent))
 
 
-def enumerate_rooted_forests(n: int, bound: int | None = None) -> list[RootedForest]:
+def enumerate_rooted_forests(n: int) -> list[RootedForest]:
     """All unlabelled forests on n vertices, in ``sort_key`` order, via
     plane representatives."""
-    _check_bound(n, bound, "rooted forest enumeration")
+    _check_bound(n, "rooted forest enumeration")
     return sorted({RootedForest._of(canonical_parents(p)) for p in _plane_vectors(n)}, key=RootedForest.sort_key)
 
 
@@ -627,14 +615,14 @@ def functional_graph(image: Sequence[int]) -> tuple[list[int], list[tuple[int, .
     return depth, cycles
 
 
-def enumerate_endofunctions(n: int, bound: int | None = None) -> list[Endofunction]:
+def enumerate_endofunctions(n: int) -> list[Endofunction]:
     """All n^n endofunctions, lexicographic in the image vector."""
-    _check_bound(n, bound, "endofunction enumeration")
+    _check_bound(n, "endofunction enumeration")
     return list(map(Endofunction._of, itertools.product(range(1, n + 1), repeat=n)))
 
 
-def enumerate_permutations(n: int, bound: int | None = None) -> list[Permutation]:
-    _check_bound(n, bound, "permutation enumeration")
+def enumerate_permutations(n: int) -> list[Permutation]:
+    _check_bound(n, "permutation enumeration")
     return list(map(Permutation._of, itertools.permutations(range(1, n + 1))))
 
 
@@ -664,14 +652,14 @@ def pack(word: Sequence[int]) -> PackedWord:
     return PackedWord._of([rank[b] for b in word])
 
 
-def enumerate_packed_words(n: int, bound: int | None = None) -> list[PackedWord]:
+def enumerate_packed_words(n: int) -> list[PackedWord]:
     """All packed words of length n (ordered Bell many), lexicographic.
 
     Depth-first over positions, trying letters in increasing order.  A
     branch is cut as soon as the values still missing below its maximum
     outnumber the positions left, so every branch ends in a packed word.
     """
-    _check_bound(n, bound, "packed word enumeration")
+    _check_bound(n, "packed word enumeration")
     out: list[PackedWord] = []
     letters = [0] * n
     used = [0] * (n + 2)  # used[a]: occurrences of letter a so far

@@ -26,7 +26,7 @@ def wqsym_product(u: PackedWord, v: PackedWord) -> FreeElement:
     any max u values of {1..r}; beta takes the other r - max u values and
     max u + max v - r of alpha's.  Every coefficient is 1.
     """
-    _check_bound(u.n + v.n, None, "packed word enumeration")
+    _check_bound(u.n + v.n, "packed word enumeration")
     p, q = u.max_letter(), v.max_letter()
     words: list[tuple[int, ...]] = []
     for r in range(max(p, q), p + q + 1):

@@ -1,4 +1,5 @@
 import collections
+import inspect
 import json
 
 import pytest
@@ -381,6 +382,12 @@ def test_registry_reads_keys_through_their_own_methods():
                 assert ops.parse_key(key.render()) == key and key.n == d and key.sort_key()[0] == d, key
 
 
+def test_every_keys_of_degree_takes_only_a_degree():
+    """The enumeration bound is a constant of ``structures``, not a knob."""
+    for tag, ops in ALGEBRAS.items():
+        assert len(inspect.signature(ops.keys_of_degree).parameters) == 1, tag
+
+
 def test_latex_rendering():
     x = FreeElement("ho", {OrderedForest.parse("0 1"): -2, OrderedForest.parse("0 0"): 1})
     assert element_to_latex(x) == "S^{(0 0)}-2\\,S^{(0 1)}"
@@ -433,10 +440,10 @@ def test_axiom_checks_ask_for_the_top_degree_first(monkeypatch, check, args):
     built: efsym at degree 8 alone holds 16.7 M keys."""
     ops, asked = ALGEBRAS["efsym"], []
 
-    def keys_of_degree(n, bound=None):
+    def keys_of_degree(n):
         asked.append(n)
         assert n == 9, f"degree {n} built before degree 9"
-        return ops.keys_of_degree(n, bound)
+        return ops.keys_of_degree(n)
 
     monkeypatch.setitem(ALGEBRAS, "efsym", ops._replace(keys_of_degree=keys_of_degree))
     with pytest.raises(EnumerationBoundError, match="endofunction enumeration at size 9 exceeds bound 8"):

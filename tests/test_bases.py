@@ -68,6 +68,11 @@ def test_endo_order_axioms_degree_3():
                     assert endo_leq(a, c)
 
 
+def test_orders_compare_only_keys_of_one_size():
+    assert not forest_leq(F("0 0"), F("0")) and not forest_leq(F("0"), F("0 0"))
+    assert not endo_leq(E("1 1"), E("1")) and not endo_leq(E("1"), E("1 1"))
+
+
 def test_endo_hasse_diagram_degree_2():
     # bottom (21), middle (11) and (22), top (12)
     assert endo_leq(E("2 1"), E("1 1")) and endo_leq(E("2 1"), E("2 2"))

@@ -354,10 +354,10 @@ def test_an_over_bound_degree_exits_before_building(capsys, monkeypatch, argv, t
     bound exits 2 before any lower degree is built."""
     ops, asked = ALGEBRAS[tag], []
 
-    def keys_of_degree(n, bound=None):
+    def keys_of_degree(n):
         asked.append(n)
         assert n == 9, f"degree {n} built before degree 9"
-        return ops.keys_of_degree(n, bound)
+        return ops.keys_of_degree(n)
 
     monkeypatch.setitem(ALGEBRAS, tag, ops._replace(keys_of_degree=keys_of_degree))
     code, out, err = run(capsys, *argv)
@@ -400,6 +400,15 @@ def test_efsym_r_basis_over_the_bound_exits_2(capsys, tmp_path):
     })
     assert run(capsys, "basis-change", "--from", "S", "--to", "R", "--algebra", "efsym", cycle) == (
         2, "", "error: endofunction R basis restricted to degree <= 5, got 11\n")
+
+
+def test_ck_r_basis_over_the_bound_names_one_basis_both_ways(capsys, tmp_path):
+    for src, dst in (("S", "R"), ("R", "S")):
+        chain = write_element(tmp_path, f"{src}.json", {
+            "algebra": "ck", "basis": src, "terms": [{"coeff": "1", "key": "(((((())))))"}],
+        })
+        assert run(capsys, "basis-change", "--from", src, "--to", dst, "--algebra", "ck", chain) == (
+            2, "", "error: forest R basis restricted to degree <= 5, got 6\n"), src
 
 
 def test_realize_over_the_word_budget_exits_2(capsys, monkeypatch):
@@ -466,6 +475,34 @@ def test_config_bound_is_respected(capsys, tmp_path):
     config.write_text(json.dumps({"enumeration_bound": 2}))
     code, _, err = run(capsys, "--config", str(config), "dims", "--algebra", "ho", "--max-degree", "4")
     assert code == 2 and "bound" in err
+
+
+def test_a_lowered_config_bound_refuses_before_any_enumeration(capsys, tmp_path, monkeypatch):
+    asked = []
+    monkeypatch.setitem(ALGEBRAS, "ho", ALGEBRAS["ho"]._replace(keys_of_degree=lambda n: asked.append(n) or []))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"enumeration_bound": 2}))
+    assert run(capsys, "--config", str(config), "dims", "--algebra", "ho", "--max-degree", "4") == (
+        2, "", "error: dims --max-degree 4 exceeds bound 2\n")
+    assert asked == []
+
+
+def test_a_raised_config_bound_changes_nothing(capsys, tmp_path, monkeypatch):
+    """A config bound only lowers the library's bound 8: with 9, degree 9
+    is still refused by its enumerator, the first degree asked for."""
+    ops, asked = ALGEBRAS["efsym"], []
+
+    def keys_of_degree(n):
+        asked.append(n)
+        assert n == 9, f"degree {n} built before degree 9"
+        return ops.keys_of_degree(n)
+
+    monkeypatch.setitem(ALGEBRAS, "efsym", ops._replace(keys_of_degree=keys_of_degree))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"enumeration_bound": 9}))
+    assert run(capsys, "--config", str(config), "dims", "--algebra", "efsym", "--max-degree", "9") == (
+        2, "", "error: endofunction enumeration at size 9 exceeds bound 8\n")
+    assert asked == [9]
 
 
 def test_config_default_indices(capsys, tmp_path):

@@ -156,6 +156,11 @@ def test_truncation_must_be_positive():
         family("v7").realize(OrderedForest((0,)), 3)
 
 
+def test_forest_words_take_only_forest_versions():
+    with pytest.raises(StructureError, match="^forest realization version must be v1 or v2, got 'func'$"):
+        next(realization.iter_forest_words(OrderedForest((0,)), "func", 3))
+
+
 def test_family_registry_pairs_versions_with_algebras():
     assert {v: fam.algebra for v, fam in FAMILIES.items()} == {
         "v1": "ho", "v2": "ho", "func": "efsym", "perm": "sgsym",

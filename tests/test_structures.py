@@ -32,7 +32,6 @@ from treehopf.structures import (
     ordered_to_plane,
     pack,
     plane_to_ordered,
-    restrict_image,
 )
 from treehopf.words import b_word
 
@@ -109,8 +108,6 @@ def test_endofunction_counts():
 def test_enumeration_bound_is_enforced():
     with pytest.raises(EnumerationBoundError):
         enumerate_ordered_forests(9)
-    with pytest.raises(EnumerationBoundError):
-        enumerate_ordered_forests(4, bound=3)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +154,7 @@ def test_ordered_forest_rejects_self_parent_and_cycles():
     with pytest.raises(StructureError, match="^parent of vertex 1 out of range: 5$"):
         OrderedForest((5,))
     # range and self-parent errors come first, in vertex order; a cycle is
-    # named by the first repeated vertex on the chain of the smallest start
+    # named by its least vertex, the cycle with the least such vertex first
     with pytest.raises(StructureError, match="^parent of vertex 3 out of range: 9$"):
         OrderedForest((2, 1, 9))
     with pytest.raises(StructureError, match="^vertex 3 is its own parent$"):
@@ -166,6 +163,15 @@ def test_ordered_forest_rejects_self_parent_and_cycles():
         OrderedForest((3, 0, 4, 3))
     with pytest.raises(StructureError, match="^parent vector contains a cycle through 2$"):
         OrderedForest((0, 3, 4, 2))
+
+
+@pytest.mark.parametrize("parent, vertex", [((3, 3, 2), 2), ((0, 4, 4, 3), 3), ((5, 3, 2, 5, 4), 2)])
+def test_a_cycle_is_named_by_its_least_vertex(parent, vertex):
+    """The least vertex of the cycle with the least vertex, not the first
+    vertex repeated on a chain: from vertex 1, (3, 3, 2) repeats 3 first and
+    (5, 3, 2, 5, 4) repeats 5 first, on the cycle {4, 5}."""
+    with pytest.raises(StructureError, match=f"^parent vector contains a cycle through {vertex}$"):
+        OrderedForest(parent)
 
 
 @pytest.mark.parametrize(
@@ -523,9 +529,9 @@ def test_part_table_stays_bounded():
             get_algebra(tag).coproduct(x)
     size = len(structures._PART_TABLE)
     assert 2 ** DEFAULT_ENUMERATION_BOUND <= size < limit
-    # restrictions past the bound are computed, not stored
-    wide = Endofunction(tuple(range(1, 13)))
-    assert restrict_image(wide, 0b101010101010) == tuple(range(1, 7))  # the even vertices
+    # a coproduct past the bound is refused before any part is restricted
+    with pytest.raises(EnumerationBoundError, match="closed set enumeration at size 12 exceeds bound 8"):
+        get_algebra("efsym").coproduct(Endofunction(tuple(range(1, 13))))
     assert len(structures._PART_TABLE) == size
 
 
