@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import operator
 from functools import cache
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import AlgebraOps, AlgebraTagError, FreeElement, get_algebra
@@ -183,7 +184,7 @@ def _steps(
 
     The components come in the order of their first positions.  A shifted
     concatenation x.y therefore has x's steps followed by y's, shifted, and
-    ``_assign`` lists S^{x.y} as w1 + w2 * base^|x| for w2 in S^y for w1 in
+    ``_assign`` yields S^{x.y} as w1 + w2 * base^|x| for w2 in S^y for w1 in
     S^x: the engine order the product check compares first."""
     k = size + 1
     base = code_base(size)
@@ -239,19 +240,19 @@ def _steps(
     return steps
 
 
-# The most partial sums one step of ``_assign`` may list: above the
-# 9,834,496 words of the func identity at degree 4, N=8, the largest list
-# of ``verify --suite realization --max-degree 4``, whose enumeration peaks
-# at about 460 MB.
+# The most partial sums one step of ``_assign`` may list: above the 9,834,496
+# words of the func identity at degree 4, N=8.  The product check streams them;
+# ``realize`` lists them to sort (450 MB), and the doubling check holds them
+# twice, as the empty closed set's A side and as the sorted S^x (950 MB).
 WORD_BUDGET = 10_000_000
 
 
-def _assign(steps: list) -> list[int]:
+def _assign(steps: list) -> Iterator[list[int]]:
     """Codes of every assignment of the steps' variables: each value times
-    its weight, summed.  Partial sums are grouped by the values later steps
-    still compare against.  A step that would list more than
-    ``WORD_BUDGET`` partial sums raises ``EnumerationBoundError`` before it
-    allocates them."""
+    its weight, summed, yielded one block per value of the last variable.
+    Partial sums are grouped by the values later steps still compare
+    against.  A step that would list more than ``WORD_BUDGET`` partial sums
+    raises ``EnumerationBoundError`` before it allocates them."""
     last: dict[int, int] = {}
     for t, (_, _, _, relations, _) in enumerate(steps):
         for _, u in relations:
@@ -284,6 +285,11 @@ def _assign(steps: list) -> list[int]:
             raise EnumerationBoundError(
                 f"word enumeration of {count} partial words exceeds bound {WORD_BUDGET}"
             )
+        if t == len(steps) - 1:  # the last step hands out each block as it is built
+            for _, codes, ys in allowed:
+                for d in [y * coef for y in ys]:
+                    yield [c + d for c in codes]
+            return
         nxt: dict[tuple, list[int]] = {}
         for state, codes, ys in allowed:
             if len(live) in picks:  # later steps compare against this value
@@ -297,7 +303,7 @@ def _assign(steps: list) -> list[int]:
                 nxt.setdefault(key, []).extend([c + d for d in ds for c in codes])
         groups = nxt
         live = kept
-    return groups.get((), [])
+    yield [0]  # no steps: the empty word
 
 
 def _witness(steps: list) -> int | None:
@@ -330,8 +336,8 @@ def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, roo
     to its parent; the positions whose parent is 0, the fixed points of the
     map, are roots."""
 
-    def side_words(parent: Sequence[int], side: Sequence[int], size: int) -> list[int]:
-        return _assign(_steps(parent, side, relation, root, size))
+    def side_words(parent: Sequence[int], side: Sequence[int], size: int) -> Iterator[int]:
+        return chain.from_iterable(_assign(_steps(parent, side, relation, root, size)))
 
     def doubled_words(parent: Sequence[int], size: int) -> Iterator[tuple]:
         # No B letter sits above an A letter: the B positions form a closed
@@ -342,8 +348,8 @@ def _regime(parent_of: Callable[[Any], Sequence[int]], relation: str | None, roo
         for mask in closed_subsets(image):
             yield (
                 mask,
-                side_words(parent, [v for v in positions if not mask >> (v - 1) & 1], size),
-                side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size),
+                list(side_words(parent, [v for v in positions if not mask >> (v - 1) & 1], size)),
+                list(side_words(parent, [v for v in positions if mask >> (v - 1) & 1], size)),
             )
 
     def parents(key, size: int) -> Sequence[int]:
@@ -405,8 +411,7 @@ def _interleave(blocks: Iterable[tuple[int, list, list]], n: int, size: int) -> 
 
 
 def _decoded(version: str, key, size: int, doubled: bool) -> Iterator[Word]:
-    for code in family(version)._codes(key, size, doubled):
-        yield decode_word(code, size)
+    return (decode_word(code, size) for code in family(version)._codes(key, size, doubled))
 
 
 def iter_forest_words(
@@ -415,14 +420,14 @@ def iter_forest_words(
     """All forest-compatible words with subscripts bounded by ``size``."""
     if version not in ("v1", "v2"):
         raise StructureError(f"forest realization version must be v1 or v2, got {version!r}")
-    yield from _decoded(version, forest, size, doubled)
+    return _decoded(version, forest, size, doubled)
 
 
 def iter_endofunction_words(
     f: Endofunction, size: int, doubled: bool = False
 ) -> Iterator[Word]:
     """All f-compatible words over the i != j alphabet, subscripts <= size."""
-    yield from _decoded("func", f, size, doubled)
+    return _decoded("func", f, size, doubled)
 
 
 def iter_permutation_words(
@@ -430,7 +435,7 @@ def iter_permutation_words(
 ) -> Iterator[Word]:
     """Words a_{i_{sigma^-1(1)} i_1} ... a_{i_{sigma^-1(n)} i_n}; cycles stay
     on one side of a doubled alphabet."""
-    yield from _decoded("perm", sigma, size, doubled)
+    return _decoded("perm", sigma, size, doubled)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +445,7 @@ def iter_permutation_words(
 class RealizationFamily(NamedTuple):
     """A polynomial realization: an algebra and the letter regime whose
     compatible words make S^x.  Keys, product, coproduct and parser are the
-    algebra's own (``ops``); ``words(key, size, doubled)`` lists the codes
+    algebra's own (``ops``); ``words(key, size, doubled)`` yields the codes
     of S^x, or, when doubled, one (B mask, A-subword codes, B-subword codes)
     block per closed set, whose words are all the pairs of the two lists.
     ``witness(key, size)`` is the code of one word of S^x, or None when the

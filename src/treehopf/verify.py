@@ -7,10 +7,10 @@ print a term-level diff.
 
 The realization checks touch each word a fixed number of times: the product
 check matches the words of S^{x.y} against the concatenations of S^x and S^y
-in the order the engine lists them, and sorts the three lists only when that
-fails; the doubling check compares the doubled blocks (one rectangle of
-sorted A- and B-subwords per closed set) with the coproduct's rectangles,
-counting word pairs only when the two multisets differ.
+one row at a time, as the engine streams them, and sorts the three lists only
+when that fails; the doubling check compares the doubled blocks (one
+rectangle of sorted A- and B-subwords per closed set) with the coproduct's
+rectangles, counting word pairs only when the two multisets differ.
 """
 
 from __future__ import annotations
@@ -61,15 +61,14 @@ def suite_axiom(name: str, max_degree: int = 3) -> list[Outcome]:
 # Realization suite
 # ---------------------------------------------------------------------------
 
-def _concatenations_match(target: list, firsts: list, seconds: list, shift: int) -> bool:
-    """``target`` lists w1 + w2 * shift for w2 in ``seconds`` for w1 in
-    ``firsts``, in that order; compared one w2 at a time, so no list of
-    concatenations is built."""
-    width = len(firsts)
-    return len(target) == width * len(seconds) and all(
-        target[i * width:(i + 1) * width] == [w1 + offset for w1 in firsts]
-        for i, offset in enumerate([w2 * shift for w2 in seconds])
-    )
+def _concatenations_match(target: Iterable[int], firsts: list, seconds: list, shift: int) -> bool:
+    """``target`` yields w1 + w2 * shift for w2 in ``seconds`` for w1 in
+    ``firsts`` and nothing more; it is read one row of len(firsts) at a time."""
+    target, width, end = iter(target), len(firsts), object()
+    return all(
+        list(itertools.islice(target, width)) == [w1 + offset for w1 in firsts]
+        for offset in [w2 * shift for w2 in seconds]
+    ) and next(target, end) is end
 
 
 def multiplicativity_ok(version: str, left, right, size: int) -> bool:
@@ -77,27 +76,23 @@ def multiplicativity_ok(version: str, left, right, size: int) -> bool:
 
     When x.y is one key with coefficient 1 (in every family it is the shifted
     concatenation), S^x S^y is the set of concatenations w1 + w2 * base^|x|.
-    The engine lists the words of S^{x.y} in that order (see
-    ``realization._steps``), so they are first compared with the
-    concatenations as listed; equal lists are equal sets, so a match is
-    exact.  Otherwise the same lists, deduplicated and sorted, are compared
-    again: in (w2, w1) order the concatenations of sorted lists come out
-    sorted.  No polynomial product is built.  Other products compare the
-    realized polynomials."""
+    The engine yields the words of S^{x.y} in that order (see
+    ``realization._steps``), so they are compared with the concatenations
+    as they stream, one row of |S^x| words at a time: a match is exact.
+    Otherwise the three lists, deduplicated and sorted, are compared again:
+    in (w2, w1) order the concatenations of sorted lists come out sorted.
+    No polynomial product is built.  Other products compare the realized
+    polynomials."""
     fam = family(version)
     product = fam.ops.product(left, right)
     if list(product.terms.values()) != [1]:
         return fam.realize(left, size) * fam.realize(right, size) == fam.realize(product, size)
     (key,) = product.terms
-    firsts, seconds, target = (fam.words(x, size) for x in (left, right, key))
+    firsts, seconds = (list(fam.words(x, size)) for x in (left, right))
     shift = code_base(size) ** left.n
-    if _concatenations_match(target, firsts, seconds, shift):
+    if _concatenations_match(fam.words(key, size), firsts, seconds, shift):
         return True
-    firsts, seconds = sorted(set(firsts)), sorted(set(seconds))
-    if len(target) > len(firsts) * len(seconds):  # a repeated word counts once in S^{x.y}
-        target = list(set(target))
-    target.sort()
-    return _concatenations_match(target, firsts, seconds, shift)
+    return _concatenations_match(sorted(set(fam.words(key, size))), sorted(set(firsts)), sorted(set(seconds)), shift)
 
 
 def _pair_counts_ok(blocks: Iterable[tuple[int, list, list]], terms: dict, realized: Callable) -> bool:

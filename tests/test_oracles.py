@@ -433,7 +433,7 @@ def test_realization_checks_match_the_oracle_on_faulty_word_lists(fault, monkeyp
             found = words(key, size, doubled)
             if doubled:
                 return [(mask, spoil(key, a_codes), b_codes) for mask, a_codes, b_codes in found]
-            return spoil(key, found)
+            return spoil(key, list(found))
 
         return faulty
 

@@ -2,6 +2,7 @@ import itertools
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -161,6 +162,15 @@ def test_forest_words_take_only_forest_versions():
         next(realization.iter_forest_words(OrderedForest((0,)), "func", 3))
 
 
+def test_word_streams_check_their_arguments_when_asked_for_not_when_read():
+    with pytest.raises(StructureError, match="^forest realization version must be v1 or v2, got 'func'$"):
+        realization.iter_forest_words(OrderedForest((0,)), "func", 3)
+    for version, fam in FAMILIES.items():
+        (key,) = fam.ops.keys_of_degree(1)
+        with pytest.raises(StructureError, match="^truncation must be >= 1, got 0$"):
+            fam.words(key, 0)
+
+
 def test_family_registry_pairs_versions_with_algebras():
     assert {v: fam.algebra for v, fam in FAMILIES.items()} == {
         "v1": "ho", "v2": "ho", "func": "efsym", "perm": "sgsym",
@@ -204,7 +214,7 @@ def test_words_are_distinct_plain_and_within_each_doubled_block():
     for version, fam in FAMILIES.items():
         for d in range(5):
             for key in fam.ops.keys_of_degree(d):
-                words = fam.words(key, 4)
+                words = list(fam.words(key, 4))
                 assert len(set(words)) == len(words), (version, key)
                 for mask, a_codes, b_codes in fam.words(key, 4, True):
                     assert len(set(a_codes)) == len(a_codes), (version, key, mask)
@@ -227,9 +237,21 @@ def test_products_list_their_words_in_engine_order(version):
     for a, b in product_pairs(fam, 4):
         (key,) = fam.ops.product(a, b).terms
         shift = code_base(size) ** a.n
-        firsts = fam.words(a, size)
+        firsts = list(fam.words(a, size))
         expected = [w1 + w2 * shift for w2 in fam.words(b, size) for w1 in firsts]
-        assert fam.words(key, size) == expected, (version, a, b)
+        assert list(fam.words(key, size)) == expected, (version, a, b)
+
+
+@pytest.mark.parametrize("version", sorted(FAMILIES))
+def test_words_are_a_lazy_stream_in_engine_order(version):
+    fam, size = FAMILIES[version], 3
+    (empty,) = fam.ops.keys_of_degree(0)
+    assert list(fam.words(empty, size)) == [0]
+    for a, b in product_pairs(fam, 4):
+        (key,) = fam.ops.product(a, b).terms
+        words, firsts, shift = fam.words(key, size), list(fam.words(a, size)), code_base(size) ** a.n
+        assert iter(words) is words, (version, key)
+        assert list(words) == [w1 + w2 * shift for w2 in fam.words(b, size) for w1 in firsts], (version, a, b)
 
 
 def spy_comparisons(monkeypatch) -> list[bool]:
@@ -246,7 +268,7 @@ def spy_comparisons(monkeypatch) -> list[bool]:
 def with_words(monkeypatch, fam, change):
     """Register a copy of ``fam`` whose word lists pass through ``change``."""
     def words(key, size, doubled=False):
-        return change(key, fam.words(key, size, doubled))
+        return change(key, list(fam.words(key, size, doubled)))
 
     monkeypatch.setitem(realization.FAMILIES, fam.version, fam._replace(words=words))
 
@@ -260,6 +282,18 @@ def test_multiplicativity_sorts_words_listed_out_of_engine_order(monkeypatch, ve
         verdicts.clear()
         assert multiplicativity_ok(version, a, b, 3), (a, b)
         assert verdicts == [False, True], (a, b)
+
+
+@pytest.mark.parametrize("version", sorted(FAMILIES))
+def test_multiplicativity_reads_the_product_to_its_end(monkeypatch, version):
+    fam = FAMILIES[version]
+    extra = lambda key, words: words + [max(words) + 1] if key.n == 3 else words
+    short = lambda key, words: words[:-1] if key.n == 3 else words
+    for change in (extra, short):
+        with_words(monkeypatch, fam, change)
+        for a, b in product_pairs(fam, 3):
+            if a.n + b.n == 3:
+                assert not multiplicativity_ok(version, a, b, 3), (change, a, b)
 
 
 @pytest.mark.parametrize("version", sorted(FAMILIES))
@@ -312,6 +346,37 @@ def test_multiplicativity_total_degree_4_at_n8(version):
             for a in family(version).ops.keys_of_degree(d1):
                 for b in family(version).ops.keys_of_degree(total - d1):
                     assert multiplicativity_ok(version, a, b, 8), (version, a, b)
+
+
+def test_product_check_holds_one_row_of_the_product():
+    """S^{x.y} of func 1 2 3 . 1 at N=5 is 160,000 words, about 8 MB as a
+    list: the check reads it |S^x| words at a time."""
+    x, y = Endofunction.parse("1 2 3"), Endofunction.parse("1")
+    tracemalloc.start()
+    try:
+        assert multiplicativity_ok("func", x, y, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+@pytest.mark.slow
+def test_product_check_streams_under_a_small_address_space():
+    """The suite's largest product, func 1 2 3 . 1 at N=8, has 9,834,496
+    words, about 460 MB as a list: the check answers within 250 MB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (250 << 20, 250 << 20))
+
+    script = (
+        "from treehopf.structures import Endofunction\n"
+        "from treehopf.verify import multiplicativity_ok\n"
+        "print(multiplicativity_ok('func', Endofunction.parse('1 2 3'), Endofunction.parse('1'), 8))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == "True\n"
 
 
 # ---------------------------------------------------------------------------

@@ -473,7 +473,7 @@ def test_library_builds_no_key_through_the_checking_constructor(monkeypatch):
     for fam in FAMILIES.values():
         for n in degrees:
             for key in fam.ops.keys_of_degree(n):
-                codes = fam.words(key, size)
+                codes = list(fam.words(key, size))
                 list(fam.words(key, size, True))
                 fam.witness(key, size)
                 for code in codes[:3]:
