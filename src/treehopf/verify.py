@@ -1,9 +1,10 @@
 """Brute-force verification suites and the worked-example replay.
 
-Every suite returns a list of (label, ok, detail) triples so the CLI and the
-acceptance tests can share one engine.  The golden files under ``golden/``
-hold the stored worked examples in the element JSON schema; replay failures
-print a term-level diff.
+Every suite yields its (label, ok, detail) triples as its checks end, so the
+CLI prints each line as it comes and the acceptance tests share one engine;
+a failed check names up to three failing cases.  The golden files under
+``golden/`` hold the stored worked examples in the element JSON schema;
+replay failures print a term-level diff.
 
 The realization checks touch each word a fixed number of times: the product
 check matches the words of S^{x.y} against the concatenations of S^x and S^y
@@ -19,7 +20,7 @@ import itertools
 import json
 from functools import cache, partial
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import bases, morphisms
 from .algebra import (
@@ -49,12 +50,15 @@ AXIOM_CHECKS: dict[str, Callable] = {
 }
 
 
-def suite_axiom(name: str, max_degree: int = 3) -> list[Outcome]:
-    out = []
+def _with_cases(detail: str, failed: list[str]) -> str:
+    """``detail``, followed on a failure by the first three failing cases."""
+    return f"{detail}: {'; '.join(failed[:3])}" if failed else detail
+
+
+def suite_axiom(name: str, max_degree: int = 3) -> Iterator[Outcome]:
     for tag in CHECK_ALGEBRAS:
         rep = AXIOM_CHECKS[name](tag, max_degree)
-        out.append((f"{name}[{tag}] deg<={max_degree}", rep.ok, rep.summary()))
-    return out
+        yield (f"{name}[{tag}] deg<={max_degree}", rep.ok, _with_cases(rep.summary(), rep.failures))
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +157,17 @@ def doubling_transport_ok(version: str, key, size: int) -> bool:
 REALIZATION_SIZE = 8
 
 
-def _counted(label: str, unit: str, verdicts: Iterable[bool]) -> Outcome:
-    """One outcome for a stream of check verdicts: cases and failures."""
-    cases = failures = 0
-    for ok in verdicts:
+def _counted(label: str, unit: str, checks: Iterable[tuple[str, bool]]) -> Outcome:
+    """One outcome for a stream of (case, verdict) pairs: cases and failures."""
+    cases, failed = 0, []
+    for case, ok in checks:
         cases += 1
-        failures += not ok
-    return (label, not failures, f"{cases} {unit}, {failures} failures")
+        if not ok:
+            failed.append(case)
+    return (label, not failed, _with_cases(f"{cases} {unit}, {len(failed)} failures", failed))
 
 
-def suite_realization(max_degree: int = 3) -> list[Outcome]:
-    out = []
+def suite_realization(max_degree: int = 3) -> Iterator[Outcome]:
     size = REALIZATION_SIZE
     for version, fam in FAMILIES.items():
         keys = keys_up_to(fam.ops, max_degree)
@@ -175,19 +179,16 @@ def suite_realization(max_degree: int = 3) -> list[Outcome]:
             for b in keys[total - d1]
         )
         where = f"[{version}] deg<={max_degree} N={size}"
-        products = (multiplicativity_ok(version, a, b, size) for a, b in pairs)
-        doublings = (doubling_transport_ok(version, key, size) for degree in keys for key in degree)
-        out.append(_counted(f"realize-product{where}", "pairs", products))
-        out.append(_counted(f"realize-doubling{where}", "keys", doublings))
+        products = ((f"{a.render()} | {b.render()}", multiplicativity_ok(version, a, b, size)) for a, b in pairs)
+        doublings = ((key.render(), doubling_transport_ok(version, key, size)) for degree in keys for key in degree)
+        yield _counted(f"realize-product{where}", "pairs", products)
+        yield _counted(f"realize-doubling{where}", "keys", doublings)
     for version, fam in FAMILIES.items():
         if fam.internal:
             continue
         for d in range(1, max_degree + 1):
             rep = rank_check(fam.ops.keys_of_degree(d), fam, 2 * d + 2, label=f"{version} deg {d}")
-            out.append(
-                (f"realize-rank[{version}] deg {d} N={2 * d + 2}", rep.full, rep.summary())
-            )
-    return out
+            yield (f"realize-rank[{version}] deg {d} N={2 * d + 2}", rep.full, rep.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -270,25 +271,18 @@ def _replay_case(case: dict) -> Outcome:
     return (case["name"], got == expected, describe(expected, got))
 
 
-def suite_examples() -> list[Outcome]:
-    out = []
+def suite_examples() -> Iterator[Outcome]:
     for entry in sorted(resources.files("treehopf.golden").iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".json"):
-            continue
-        data = json.loads(entry.read_text())
-        for case in data["cases"]:
-            out.append(_replay_case(case))
-    return out
+        if entry.name.endswith(".json"):
+            yield from map(_replay_case, json.loads(entry.read_text())["cases"])
 
 
-SUITES: dict[str, Callable[[int], list[Outcome]]] = {
+SUITES: dict[str, Callable[[int], Iterator[Outcome]]] = {
     **{name: partial(suite_axiom, name) for name in AXIOM_CHECKS},
     "realization": suite_realization,
     "examples": lambda d: suite_examples(),
 }
-
-
-def run_suite(name: str, max_degree: int = 3) -> list[Outcome]:
-    if name == "all":
-        return [outcome for suite in SUITES.values() for outcome in suite(max_degree)]
-    return SUITES[name](max_degree)
+# "all" chains the suites registered above, in order, so it never chains itself.
+SUITES["all"] = partial(
+    lambda suites, d: (outcome for suite in suites for outcome in suite(d)), tuple(SUITES.values())
+)

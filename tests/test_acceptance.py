@@ -94,7 +94,7 @@ def test_criterion_1_dimension_sequences():
 
 @report(2, "worked-example replay", budget_seconds=30)
 def test_criterion_2_worked_example_replay():
-    outcomes = suite_examples()
+    outcomes = list(suite_examples())
     failures = [f"{name}: {detail}" for name, ok, detail in outcomes if not ok]
     assert not failures, "\n".join(failures)
     assert len(outcomes) >= 40  # the full stored example set

@@ -11,6 +11,7 @@ from treehopf import realization, verify
 from treehopf.algebra import (
     ALGEBRAS,
     FreeElement,
+    TensorElement,
     element_from_json,
     element_to_json,
     get_algebra,
@@ -18,6 +19,7 @@ from treehopf.algebra import (
 )
 from treehopf.cli import main
 from treehopf.morphisms import MAPS
+from treehopf.structures import EnumerationBoundError
 
 
 def run(capsys, *argv):
@@ -576,6 +578,73 @@ def test_verify_realization_ranks_every_degree(capsys, monkeypatch):
     ]
     assert code == 0 and out.endswith("20/20 checks passed\n")
     assert [line for line in out.splitlines() if "realize-rank" in line] == expected
+
+
+def test_fail_lines_name_the_first_three_failing_cases(capsys, monkeypatch):
+    """A ho coproduct with +1 on one term of each degree-2 key, and a ho
+    product doubled on two degree-1 keys: each FAIL line names its first
+    three failing cases, key pairs as "a | b"."""
+    ops = ALGEBRAS["ho"]
+
+    def coproduct(key):
+        terms = dict(ops.coproduct(key).terms)
+        if key.n == 2:
+            terms[next(iter(terms))] += 1
+        return TensorElement("ho", terms)
+
+    def product(a, b):
+        return 2 * ops.product(a, b) if a.n == b.n == 1 else ops.product(a, b)
+
+    monkeypatch.setitem(ALGEBRAS, "ho", ops._replace(coproduct=coproduct, product=product))
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-degree", "2")
+    assert code == 1 and out.endswith("\n70/77 checks passed\n")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL coassoc[ho] deg<=2: coassociativity[ho]: 5 cases, 3 FAILURES: 0 0; 0 1; 2 0",
+        "FAIL compat[ho] deg<=2: bialgebra-compat[ho]: 210 cases, 31 FAILURES: 0 | 0; 0 | 0 3 1; 0 1 2 | 0",
+        "FAIL antipode[ho] deg<=2: antipode-convolution[ho]: 4 cases, 3 FAILURES: 0 0; 0 1; 2 0",
+        "FAIL realize-product[v1] deg<=2 N=8: 1 pairs, 1 failures: 0 | 0",
+        "FAIL realize-doubling[v1] deg<=2 N=8: 5 keys, 3 failures: 0 0; 0 1; 2 0",
+        "FAIL realize-product[v2] deg<=2 N=8: 1 pairs, 1 failures: 0 | 0",
+        "FAIL realize-doubling[v2] deg<=2 N=8: 5 keys, 3 failures: 0 0; 0 1; 2 0",
+    ]
+
+
+def test_a_bound_error_mid_stream_keeps_the_lines_before_it(capsys, monkeypatch):
+    """The first doubling check raises: the 18 axiom lines and the first
+    product line are already out, and no closing line follows."""
+    def doubling_transport_ok(version, key, size):
+        raise EnumerationBoundError("doubling over the bound")
+
+    monkeypatch.setattr(verify, "doubling_transport_ok", doubling_transport_ok)
+    pinned = (Path(__file__).parent / "data" / "verify_all.txt").read_text().splitlines()
+    expected = [line.split(": ")[0].replace("deg<=3", "deg<=2") for line in pinned[:19]]
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-degree", "2")
+    assert (code, err) == (2, "error: doubling over the bound\n")
+    assert [line.split(": ")[0] for line in out.splitlines()] == expected
+    assert expected[-1] == "PASS realize-product[v1] deg<=2 N=8" and "checks passed" not in out
+
+
+def test_verify_writes_and_flushes_each_line_as_its_check_ends(monkeypatch):
+    events = []
+
+    class Recorder:
+        def write(self, text):
+            events.append(("write", text))
+
+        def flush(self):
+            events.append(("flush",))
+
+    def suite(max_degree):
+        yield ("first", True, "done")
+        assert events == [("write", "PASS first: done\n"), ("flush",)], "first line not flushed"
+        yield ("second", False, "broken")
+
+    monkeypatch.setitem(verify.SUITES, "examples", suite)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["verify", "--suite", "examples"]) == 1
+    assert "".join(event[1] for event in events if event[0] == "write") == (
+        "PASS first: done\nFAIL second: broken\n1/2 checks passed\n"
+    )
 
 
 def test_stdin_input(capsys, monkeypatch):
